@@ -5,7 +5,7 @@ exact spectral references on finite or grid state spaces, and certify
 Harris-type drift/minorization conditions numerically.
 """
 
-from ._kernels import BACKEND, NUMBA_ENABLED, ResurrectionOverflowError
+from ._kernels import ResurrectionOverflowError
 from .fv import FVConfig, FVReport, ParticleEnsemble, fv_step, q_mu_step, run_fv
 from .metrics import (
     EmpiricalMeasure,
@@ -19,14 +19,23 @@ from .metrics import (
 )
 from .models import (
     BirthDeath,
+    ConstDrift,
+    ConstKill,
+    CosineKill,
     FiniteKilledChain,
     GrowthFrag,
     HouseOfCard,
     IntervalBrownian,
+    IntervalKill,
     KilledModel,
+    NoKill,
     PeriodicShift,
+    PowerKill,
+    SineDrift,
+    StateKill,
     TorusDiffusion,
     TwoPoint,
+    ZeroDrift,
     analytic_qsd,
     build_preset,
     discrete_model,

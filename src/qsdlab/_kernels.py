@@ -1,96 +1,34 @@
-"""Backend-switched numeric kernels for the particle engine.
+"""Numeric kernels of the particle engine: counter-based draws and one step.
 
-The hot inner loop (propose / kill / resurrect for every particle) is
-compiled with numba ``@njit`` when available.  Setting the environment
-variable ``QSDLAB_NUMBA=0`` before import selects a vectorized pure-numpy
-implementation of the same update instead; both backends consume the same
-counter-based random streams, so a run is reproducible within a backend
-from ``(seed, model, config)`` alone, independent of scheduling.
+One vectorized numpy loop (``_resample``) advances every particle by
+propose / kill / resurrect; the three step kernels supply its proposal for
+each dynamics kind: Gaussian moves (``step_gauss``), uniform redraws
+(``step_redraw``) and uniformized finite chains (``step_finite``).  Drift
+and kill enter as family objects with a vectorized ``drift(x)`` and
+``prob(x, gamma)`` on an ``(n, d)`` array (see ``qsdlab.models``).
 
 Randomness is counter-based: every draw is a 64-bit hash of
-``(seed, step, particle, counter)``, so permuting particle labels together
-with their stream ids commutes exactly with a step, and chunking a run into
+``(seed, step, particle, counter)``, so a run is reproducible from
+``(seed, model, config)`` alone, permuting particle labels together with
+their stream ids commutes exactly with a step, and chunking a run into
 sub-ranges of steps cannot change its output.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "BACKEND",
-    "NUMBA_ENABLED",
     "derive_key",
     "raw_draw",
     "u01_from_raw",
-    "KIND_GAUSS",
-    "KIND_REDRAW",
-    "KIND_FINITE",
-    "KIND_GROWTHFRAG",
-    "DRIFT_ZERO",
-    "DRIFT_CONST",
-    "DRIFT_SINE",
-    "KILL_NONE",
-    "KILL_CONST",
-    "KILL_COSINE",
-    "KILL_HARD_INTERVAL",
-    "KILL_POWER",
+    "step_gauss",
+    "step_redraw",
+    "step_finite",
     "ResurrectionOverflowError",
 ]
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("QSDLAB_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit  # noqa: F401
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        NUMBA_ENABLED = False
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):  # type: ignore[no-redef]
-        """No-op decorator standing in for numba.njit."""
-
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# model-kind and parameter codes shared with models.py
-# ---------------------------------------------------------------------------
-
-KIND_GAUSS = 0        # x' = x + gamma*b(x) + sqrt(gamma)*noise*xi, optional wrap
-KIND_REDRAW = 1       # jump to Uniform(0,1) with prob 1-exp(-gamma), else stay
-KIND_FINITE = 2       # uniformized conservative jump chain on {0..n-1}
-KIND_GROWTHFRAG = 3   # x' = x*exp(gamma*growth); multiplicative jump w.p. 1-exp(-gamma*B)
-
-DRIFT_ZERO = 0
-DRIFT_CONST = 1
-DRIFT_SINE = 2        # b(x) = a*sin(2*pi*x), one dimensional
-
-KILL_NONE = 0
-KILL_CONST = 1        # rate lam0
-KILL_COSINE = 2       # rate lam0 + lam1*cos(2*pi*x), one dimensional
-KILL_HARD_INTERVAL = 3  # probability 1 outside the open interval (lo, hi)
-KILL_POWER = 4        # rate c*x**q
 
 
 class ResurrectionOverflowError(RuntimeError):
@@ -125,11 +63,10 @@ _KEY2_I = 0x165667B19E3779F9
 _U53 = 1.0 / 9007199254740992.0  # 2**-53
 _TWO_PI = 2.0 * math.pi
 
-# uint64 constants captured by the jitted kernels
+# uint64 constants of the vectorized forms
 _GOLDEN = np.uint64(_GOLDEN_I)
 _MIX1 = np.uint64(_MIX1_I)
 _MIX2 = np.uint64(_MIX2_I)
-_KEY1 = np.uint64(_KEY1_I)
 _KEY2 = np.uint64(_KEY2_I)
 _SH30 = np.uint64(30)
 _SH27 = np.uint64(27)
@@ -167,6 +104,20 @@ def u01_from_raw(raw: int) -> float:
     return (raw >> 11) * _U53
 
 
+def _u01_py(key: int, ctr: int) -> float:
+    return u01_from_raw(raw_draw(key, ctr))
+
+
+def _u01_open_py(key: int, ctr: int) -> float:
+    return ((raw_draw(key, ctr) >> 11) + 1) * _U53
+
+
+def _normal_py(key: int, ctr: int) -> float:
+    u1 = _u01_open_py(key, ctr)
+    u2 = _u01_py(key, ctr + 1)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
+
+
 # vectorized uint64 forms (array arithmetic wraps silently)
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
@@ -196,385 +147,115 @@ def _normal_np(keys: np.ndarray, ctrs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar primitives (jitted when numba is on; plain python otherwise)
+# one-step kernels (the source array is pre-sorted by the caller)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True, nogil=True)
-def _mix64_nb(z):
-    z = (z ^ (z >> _SH30)) * _MIX1
-    z = (z ^ (z >> _SH27)) * _MIX2
-    return z ^ (z >> _SH31)
+def _resample(states, src, seed, sid, max_iters, propose, kill_prob):
+    """Advance every particle one step in place; returns ``(deaths, err)``.
 
-
-@njit(cache=True, nogil=True)
-def _u01_nb(key, ctr):
-    raw = _mix64_nb(key + (ctr + _ONE_U) * _GOLDEN)
-    return np.float64(raw >> _SH11) * _U53
-
-
-@njit(cache=True, nogil=True)
-def _u01_open_nb(key, ctr):
-    raw = _mix64_nb(key + (ctr + _ONE_U) * _GOLDEN)
-    return np.float64((raw >> _SH11) + _ONE_U) * _U53
-
-
-@njit(cache=True, nogil=True)
-def _normal_nb(key, ctr):
-    u1 = _u01_open_nb(key, ctr)
-    u2 = _u01_nb(key, ctr + _ONE_U)
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-
-
-def _u01_py(key: int, ctr: int) -> float:
-    return u01_from_raw(raw_draw(key, ctr))
-
-
-def _u01_open_py(key: int, ctr: int) -> float:
-    return ((raw_draw(key, ctr) >> 11) + 1) * _U53
-
-
-def _normal_py(key: int, ctr: int) -> float:
-    u1 = _u01_open_py(key, ctr)
-    u2 = _u01_py(key, ctr + 1)
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-
-
-if NUMBA_ENABLED:
-    def scalar_u01(key: int, ctr: int) -> float:
-        return _u01_nb(np.uint64(key), np.uint64(ctr))
-
-    def scalar_normal(key: int, ctr: int) -> float:
-        return _normal_nb(np.uint64(key), np.uint64(ctr))
-else:
-    scalar_u01 = _u01_py
-    scalar_normal = _normal_py
-
-
-# ---------------------------------------------------------------------------
-# numba one-step kernels (source array is pre-sorted by the caller)
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, nogil=True)
-def _step_gauss_nb(states, src, seed, sid, gamma, drift_id, dpar,
-                   kill_id, kp0, kp1, wrap, noise, max_iters):
-    n, d = states.shape
-    sqrtg = math.sqrt(gamma) * noise
-    base = _mix64_nb(_mix64_nb(np.uint64(seed)) ^ (np.uint64(sid) * _KEY1))
-    deaths = 0
-    prop = np.empty(d, dtype=np.float64)
-    for i in range(n):
-        key = _mix64_nb(base ^ (np.uint64(i) * _KEY2))
-        ctr = np.uint64(0)
-        start = i
-        from_src = False
-        it = 0
-        while True:
-            for k in range(d):
-                z = _normal_nb(key, ctr)
-                ctr += _TWO_U
-                if from_src:
-                    y = src[start, k]
-                    y0 = src[start, 0]
-                else:
-                    y = states[i, k]
-                    y0 = states[i, 0]
-                if drift_id == 1:
-                    b = dpar[k]
-                elif drift_id == 2:
-                    b = dpar[0] * math.sin(_TWO_PI * y0)
-                else:
-                    b = 0.0
-                v = y + gamma * b + sqrtg * z
-                if wrap:
-                    v -= math.floor(v)
-                prop[k] = v
-            u = _u01_nb(key, ctr)
-            ctr += _ONE_U
-            if kill_id == 1:
-                p = 1.0 - math.exp(-gamma * kp0)
-            elif kill_id == 2:
-                p = 1.0 - math.exp(-gamma * (kp0 + kp1 * math.cos(_TWO_PI * prop[0])))
-            elif kill_id == 3:
-                p = 0.0 if (prop[0] > kp0 and prop[0] < kp1) else 1.0
-            else:
-                p = 0.0
-            if u >= p:
-                break
-            deaths += 1
-            it += 1
-            if it > max_iters:
-                return deaths, i
-            usel = _u01_nb(key, ctr)
-            ctr += _ONE_U
-            j = int(usel * n)
-            if j >= n:
-                j = n - 1
-            start = j
-            from_src = True
-        for k in range(d):
-            states[i, k] = prop[k]
-    return deaths, -1
-
-
-@njit(cache=True, nogil=True)
-def _step_redraw_nb(states, src, seed, sid, gamma, kc, kq, max_iters):
+    ``propose(y, keys, ctrs)`` moves the rows ``y`` with the streams
+    ``(keys, ctrs)`` and advances ``ctrs`` past the draws it used; the next
+    draw kills the proposal with probability ``kill_prob(x)``.  A killed
+    particle restarts from a uniform draw of ``src`` until it survives.
+    ``err`` is the first particle still dead when the budget of
+    ``max_iters`` rounds ran out (``states`` is then left as it was), else -1.
+    """
     n = states.shape[0]
-    p_move = 1.0 - math.exp(-gamma)
-    base = _mix64_nb(_mix64_nb(np.uint64(seed)) ^ (np.uint64(sid) * _KEY1))
-    deaths = 0
-    for i in range(n):
-        key = _mix64_nb(base ^ (np.uint64(i) * _KEY2))
-        ctr = np.uint64(0)
-        y = states[i, 0]
-        it = 0
-        while True:
-            uj = _u01_nb(key, ctr)
-            ctr += _ONE_U
-            if uj < p_move:
-                x = _u01_nb(key, ctr)
-                ctr += _ONE_U
-            else:
-                x = y
-            uk = _u01_nb(key, ctr)
-            ctr += _ONE_U
-            if uk >= 1.0 - math.exp(-gamma * kc * x ** kq):
-                states[i, 0] = x
-                break
-            deaths += 1
-            it += 1
-            if it > max_iters:
-                return deaths, i
-            usel = _u01_nb(key, ctr)
-            ctr += _ONE_U
-            j = int(usel * n)
-            if j >= n:
-                j = n - 1
-            y = src[j, 0]
-    return deaths, -1
-
-
-@njit(cache=True, nogil=True)
-def _step_finite_nb(states, src, seed, sid, cum_rows, p_kill, unif_mean,
-                    max_iters):
-    n = states.shape[0]
-    n_states = cum_rows.shape[0]
-    log_l = -unif_mean
-    base = _mix64_nb(_mix64_nb(np.uint64(seed)) ^ (np.uint64(sid) * _KEY1))
-    deaths = 0
-    for i in range(n):
-        key = _mix64_nb(base ^ (np.uint64(i) * _KEY2))
-        ctr = np.uint64(0)
-        y = states[i]
-        it = 0
-        while True:
-            # Knuth poisson jump count
-            njumps = 0
-            acc = 0.0
-            while True:
-                u = _u01_open_nb(key, ctr)
-                ctr += _ONE_U
-                acc += math.log(u)
-                if acc <= log_l:
-                    break
-                njumps += 1
-            x = y
-            for _ in range(njumps):
-                uj = _u01_nb(key, ctr)
-                ctr += _ONE_U
-                x = np.searchsorted(cum_rows[x], uj, side="right")
-                if x >= n_states:
-                    x = n_states - 1
-            uk = _u01_nb(key, ctr)
-            ctr += _ONE_U
-            if uk >= p_kill[x]:
-                states[i] = x
-                break
-            deaths += 1
-            it += 1
-            if it > max_iters:
-                return deaths, i
-            usel = _u01_nb(key, ctr)
-            ctr += _ONE_U
-            j = int(usel * n)
-            if j >= n:
-                j = n - 1
-            y = src[j]
-    return deaths, -1
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback one-step kernels (vectorized, same draw accounting)
-# ---------------------------------------------------------------------------
-
-def _drift_np(y: np.ndarray, drift_id: int, dpar: np.ndarray) -> np.ndarray:
-    if drift_id == 1:
-        return np.broadcast_to(dpar[: y.shape[1]], y.shape)
-    if drift_id == 2:
-        out = np.zeros_like(y)
-        out[:, 0] = dpar[0] * np.sin(_TWO_PI * y[:, 0])
-        return out
-    return np.zeros_like(y)
-
-
-def _kill_prob_gauss_np(x: np.ndarray, gamma: float, kill_id: int,
-                        kp0: float, kp1: float) -> np.ndarray:
-    if kill_id == 1:
-        return np.full(x.shape[0], 1.0 - math.exp(-gamma * kp0))
-    if kill_id == 2:
-        rate = kp0 + kp1 * np.cos(_TWO_PI * x[:, 0])
-        return 1.0 - np.exp(-gamma * rate)
-    if kill_id == 3:
-        return np.where((x[:, 0] > kp0) & (x[:, 0] < kp1), 0.0, 1.0)
-    return np.zeros(x.shape[0])
-
-
-def _propose_gauss_np(y, keys, ctrs, gamma, sqrtg, drift_id, dpar, wrap):
-    n, d = y.shape
-    z = np.empty((n, d))
-    for k in range(d):
-        z[:, k] = _normal_np(keys, ctrs)
-        ctrs += _TWO_U
-    prop = y + gamma * _drift_np(y, drift_id, dpar) + sqrtg * z
-    if wrap:
-        prop -= np.floor(prop)
-    return prop
-
-
-def _step_gauss_np(states, src, seed, sid, gamma, drift_id, dpar,
-                   kill_id, kp0, kp1, wrap, noise, max_iters):
-    n, d = states.shape
-    sqrtg = math.sqrt(gamma) * noise
     keys = derive_keys_np(seed, sid, np.arange(n, dtype=np.uint64))
     ctrs = np.zeros(n, dtype=np.uint64)
-    prop = _propose_gauss_np(states, keys, ctrs, gamma, sqrtg,
-                             drift_id, dpar, wrap)
+    out = propose(states, keys, ctrs)
     u = _u01_np(keys, ctrs)
     ctrs += _ONE_U
-    alive = u >= _kill_prob_gauss_np(prop, gamma, kill_id, kp0, kp1)
-    out = np.where(alive[:, None], prop, 0.0)
-    dead = np.nonzero(~alive)[0]
+    dead = np.nonzero(~(u >= kill_prob(out)))[0]
     deaths = dead.size
-    it = 0
+    rounds = 1
     while dead.size:
-        it += 1
-        if it > max_iters:
+        if rounds > max_iters:
             return deaths, int(dead[0])
         ks = keys[dead]
         usel = _u01_np(ks, ctrs[dead])
-        ctrs[dead] += _ONE_U
+        cs = ctrs[dead] + _ONE_U
         j = np.minimum((usel * n).astype(np.int64), n - 1)
-        sub_ctr = ctrs[dead].copy()
-        prop = _propose_gauss_np(src[j], ks, sub_ctr, gamma, sqrtg,
-                                 drift_id, dpar, wrap)
-        ctrs[dead] = sub_ctr
-        u = _u01_np(ks, ctrs[dead])
-        ctrs[dead] += _ONE_U
-        ok = u >= _kill_prob_gauss_np(prop, gamma, kill_id, kp0, kp1)
-        out[dead[ok]] = prop[ok]
-        deaths += int((~ok).sum())
+        x = propose(src[j], ks, cs)
+        u = _u01_np(ks, cs)
+        ctrs[dead] = cs + _ONE_U
+        ok = u >= kill_prob(x)
+        out[dead[ok]] = x[ok]
         dead = dead[~ok]
+        deaths += dead.size
+        rounds += 1
     states[:] = out
     return deaths, -1
 
 
-def _step_redraw_np(states, src, seed, sid, gamma, kc, kq, max_iters):
-    n = states.shape[0]
+# Every kernel takes (states, src, seed, sid, max_iters) and the parameters
+# of its kind by keyword.
+
+def step_gauss(states, src, seed, sid, max_iters, *, gamma, drift, kill,
+               wrap, noise):
+    """``x' = x + gamma*b(x) + sqrt(gamma)*noise*xi``, wrapped on the torus."""
+    sqrtg = math.sqrt(gamma) * noise
+
+    def propose(y, keys, ctrs):
+        z = np.empty(y.shape)
+        for k in range(y.shape[1]):
+            z[:, k] = _normal_np(keys, ctrs)
+            ctrs += _TWO_U
+        prop = y + gamma * drift.drift(y) + sqrtg * z
+        if wrap:
+            prop -= np.floor(prop)
+        return prop
+
+    return _resample(states, src, seed, sid, max_iters, propose,
+                     lambda x: kill.prob(x, gamma))
+
+
+def step_redraw(states, src, seed, sid, max_iters, *, gamma, kill):
+    """Redraw from Uniform(0, 1) with probability ``1 - exp(-gamma)``, else stay."""
     p_move = 1.0 - math.exp(-gamma)
-    keys = derive_keys_np(seed, sid, np.arange(n, dtype=np.uint64))
-    ctrs = np.zeros(n, dtype=np.uint64)
-    y = states[:, 0].copy()
-    out = np.empty(n)
-    pending = np.arange(n)
-    deaths = 0
-    rounds = 0
-    while pending.size:
-        ks = keys[pending]
-        uj = _u01_np(ks, ctrs[pending])
-        ctrs[pending] += _ONE_U
-        moved = uj < p_move
-        x = y[pending].copy()
-        if moved.any():
-            ul = _u01_np(ks[moved], ctrs[pending[moved]])
-            ctrs[pending[moved]] += _ONE_U
-            x[moved] = ul
-        uk = _u01_np(ks, ctrs[pending])
-        ctrs[pending] += _ONE_U
-        ok = uk >= 1.0 - np.exp(-gamma * kc * x ** kq)
-        out[pending[ok]] = x[ok]
-        died = pending[~ok]
-        deaths += died.size
-        rounds += 1
-        if rounds > max_iters and died.size:
-            return deaths, int(died[0])
-        if died.size:
-            usel = _u01_np(keys[died], ctrs[died])
-            ctrs[died] += _ONE_U
-            j = np.minimum((usel * n).astype(np.int64), n - 1)
-            y[died] = src[j, 0]
-        pending = died
-    states[:, 0] = out
-    return deaths, -1
+
+    def propose(y, keys, ctrs):
+        moved = _u01_np(keys, ctrs) < p_move
+        ctrs += _ONE_U
+        x = y.copy()
+        x[moved, 0] = _u01_np(keys[moved], ctrs[moved])
+        ctrs[moved] += _ONE_U
+        return x
+
+    return _resample(states, src, seed, sid, max_iters, propose,
+                     lambda x: kill.prob(x, gamma))
 
 
-def _step_finite_np(states, src, seed, sid, cum_rows, p_kill, unif_mean,
-                    max_iters):
-    n = states.shape[0]
+def step_finite(states, src, seed, sid, max_iters, *, cum_rows, p_kill,
+                unif_mean):
+    """Uniformized jump chain: a Poisson(``unif_mean``) number of jumps along
+    the cumulative rows ``cum_rows``, then death with probability
+    ``p_kill[state]``."""
     n_states = cum_rows.shape[0]
     log_l = -unif_mean
-    keys = derive_keys_np(seed, sid, np.arange(n, dtype=np.uint64))
-    ctrs = np.zeros(n, dtype=np.uint64)
-    y = states.copy()
-    out = np.empty(n, dtype=np.int64)
-    pending = np.arange(n)
-    deaths = 0
-    rounds = 0
-    while pending.size:
-        acc = np.zeros(pending.size)
-        njumps = np.zeros(pending.size, dtype=np.int64)
-        active = np.arange(pending.size)
+
+    def propose(y, keys, ctrs):
+        # Knuth's product method: count uniforms until their product <= e^-mean
+        acc = np.zeros(y.shape[0])
+        njumps = np.zeros(y.shape[0], dtype=np.int64)
+        active = np.arange(y.shape[0])
         while active.size:
-            gidx = pending[active]
-            raw = _raw_np(keys[gidx], ctrs[gidx])
-            ctrs[gidx] += _ONE_U
-            u = ((raw >> _SH11) + _ONE_U) * _U53
-            acc[active] += np.log(u)
+            raw = _raw_np(keys[active], ctrs[active])
+            ctrs[active] += _ONE_U
+            acc[active] += np.log(((raw >> _SH11) + _ONE_U) * _U53)
             done = acc[active] <= log_l
             njumps[active[~done]] += 1
             active = active[~done]
-        x = y[pending].copy()
+        x = y.copy()
         while np.any(njumps > 0):
             need = np.nonzero(njumps > 0)[0]
-            gidx = pending[need]
-            uj = _u01_np(keys[gidx], ctrs[gidx])
-            ctrs[gidx] += _ONE_U
+            uj = _u01_np(keys[need], ctrs[need])
+            ctrs[need] += _ONE_U
             for t in range(need.size):
                 v = int(np.searchsorted(cum_rows[x[need[t]]], uj[t], side="right"))
                 x[need[t]] = min(v, n_states - 1)
             njumps[need] -= 1
-        uk = _u01_np(keys[pending], ctrs[pending])
-        ctrs[pending] += _ONE_U
-        ok = uk >= p_kill[x]
-        out[pending[ok]] = x[ok]
-        died = pending[~ok]
-        deaths += died.size
-        rounds += 1
-        if rounds > max_iters and died.size:
-            return deaths, int(died[0])
-        if died.size:
-            usel = _u01_np(keys[died], ctrs[died])
-            ctrs[died] += _ONE_U
-            j = np.minimum((usel * n).astype(np.int64), n - 1)
-            y[died] = src[j]
-        pending = died
-    states[:] = out
-    return deaths, -1
+        return x
 
-
-if NUMBA_ENABLED:
-    step_gauss = _step_gauss_nb
-    step_redraw = _step_redraw_nb
-    step_finite = _step_finite_nb
-else:
-    step_gauss = _step_gauss_np
-    step_redraw = _step_redraw_np
-    step_finite = _step_finite_np
+    return _resample(states, src, seed, sid, max_iters, propose,
+                     lambda x: p_kill[x])

@@ -271,10 +271,7 @@ def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path) -> None:
                       snapshot_stride=int(fvc.get("snapshot_stride", 100)),
                       max_resurrection_iters=int(
                           fvc.get("max_resurrection_iters", 1_000_000)))
-    init = fvc.get("init", "uniform")
-    if isinstance(init, list) and len(init) == 2 and init[0] == "dirac":
-        init = ("dirac", init[1])
-    report = run_fv(model, config, init=init)
+    report = run_fv(model, config, init=fvc.get("init", "uniform"))
     write_report(report, out)
 
 

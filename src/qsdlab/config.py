@@ -7,9 +7,11 @@ misspell a knob.  See ``qsdlab --help`` for the documented layout.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .fv import check_runnable
 from .models import build_preset
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config"]
@@ -58,6 +60,50 @@ _SWEEP_KEYS = {"gammas", "n_particles", "horizons", "n_seeds", "burn_fraction",
                "snapshot_stride", "n_grid", "oracle_t0"}
 
 
+# Value checks: (predicate, description).  JSON booleans are not numbers
+# here, strings are never coerced and counts must be integers.
+
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _count(lo: int):
+    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo,
+            f"an integer >= {lo}")
+
+
+def _list_of(check):
+    ok, what = check
+    return (lambda v: isinstance(v, list) and all(ok(x) for x in v),
+            f"a list, each entry {what}")
+
+
+_NUMBERS = _list_of((_is_number, "a finite number"))
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
+_FRACTION = (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)")
+_SEED = _count(0)
+
+_VALUES = {
+    "fv": {"n_particles": _count(1), "gamma": _POSITIVE, "n_steps": _count(0),
+           "snapshot_stride": _count(1), "max_resurrection_iters": _count(1)},
+    "oracle": {"n_grid": _count(16), "t0": _POSITIVE,
+               "survival_steps": _count(0), "conditional_iters": _count(0)},
+    "harris": {"t0": _POSITIVE, "n_max": _count(1), "q1_grid": _NUMBERS,
+               "q2_grid": _NUMBERS, "k_fractions": _NUMBERS},
+    "sweep": {"gammas": _list_of(_POSITIVE), "n_particles": _list_of(_count(1)),
+              "horizons": _list_of(_POSITIVE), "n_seeds": _count(1),
+              "burn_fraction": _FRACTION, "snapshot_stride": _count(1),
+              "n_grid": _count(16), "oracle_t0": _POSITIVE},
+}
+
+
+def _check_values(section: dict, where: str) -> None:
+    for key, (ok, what) in _VALUES[where].items():
+        if key in section and not ok(section[key]):
+            raise ConfigError(f"{where}.{key} must be {what}, got {section[key]!r}")
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -76,31 +122,34 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(params, dict):
         raise ConfigError("model.params must be an object")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    if not _SEED[0](seed):
+        raise ConfigError(f"seed must be {_SEED[1]}, got {seed!r}")
 
-    fv = doc.get("fv", {})
-    _require_keys(fv, _FV_KEYS, "fv")
-    oracle = doc.get("oracle", {})
-    _require_keys(oracle, _ORACLE_KEYS, "oracle")
-    harris = doc.get("harris", {})
-    _require_keys(harris, _HARRIS_KEYS, "harris")
-    sweep = doc.get("sweep", {})
-    _require_keys(sweep, _SWEEP_KEYS, "sweep")
+    sections = {}
+    for where, allowed in (("fv", _FV_KEYS), ("oracle", _ORACLE_KEYS),
+                           ("harris", _HARRIS_KEYS), ("sweep", _SWEEP_KEYS)):
+        section = doc.get(where, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{where} must be an object")
+        _require_keys(section, allowed, where)
+        _check_values(section, where)
+        sections[where] = section
     metrics = doc.get("metrics", [])
     if not isinstance(metrics, list):
         raise ConfigError("metrics must be a list of names")
 
     cfg = ExperimentConfig(mode=mode, model_name=name, model_params=params,
                            seed=seed, output_dir=doc.get("output_dir"),
-                           fv=fv, oracle=oracle, harris=harris, sweep=sweep,
-                           metrics=metrics)
+                           metrics=metrics, **sections)
     _validate_mode(cfg)
     try:
-        cfg.preset()
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
-    except ValueError as exc:
+        preset = cfg.preset()
+        if mode == "simulate":
+            # build the model and check the engine runs it from the initial
+            # law, so an unrunnable config fails before the first step
+            check_runnable(preset.model(float(cfg.fv["gamma"])),
+                           cfg.fv.get("init", "uniform"))
+    except (KeyError, TypeError, ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 
@@ -110,10 +159,6 @@ def _validate_mode(cfg: ExperimentConfig) -> None:
         for key in ("n_particles", "gamma", "n_steps"):
             if key not in cfg.fv:
                 raise ConfigError(f"simulate mode requires fv.{key}")
-        if cfg.fv["gamma"] <= 0:
-            raise ConfigError("fv.gamma must be positive")
-        if cfg.fv["n_particles"] < 1:
-            raise ConfigError("fv.n_particles must be at least 1")
     if cfg.mode == "sweep":
         gammas = cfg.sweep.get("gammas", [])
         ns = cfg.sweep.get("n_particles", [])
@@ -121,12 +166,6 @@ def _validate_mode(cfg: ExperimentConfig) -> None:
         if not gammas or not ns or not horizons:
             raise ConfigError("sweep mode requires nonempty sweep.gammas, "
                               "sweep.n_particles and sweep.horizons")
-        if any(g <= 0 for g in gammas):
-            raise ConfigError("sweep.gammas must be positive")
-        if any(n < 1 for n in ns):
-            raise ConfigError("sweep.n_particles must be at least 1")
-        if cfg.sweep.get("n_seeds", 1) < 1:
-            raise ConfigError("sweep.n_seeds must be at least 1")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -12,19 +12,16 @@ under joint permutation of labels and streams.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels as _k
-from ._kernels import (
-    KIND_FINITE,
-    KIND_GAUSS,
-    KIND_REDRAW,
-    ResurrectionOverflowError,
-)
+from ._kernels import ResurrectionOverflowError
 from .models import KilledModel, kill_prob, propose
 from .streams import Stream, substream
 
@@ -37,6 +34,7 @@ __all__ = [
     "fv_step_reference",
     "run_fv",
     "init_states",
+    "check_runnable",
     "write_report",
 ]
 
@@ -99,7 +97,6 @@ class FVReport:
     model: dict
     config: dict
     seed: int
-    backend: str
     n_particles: int
     gamma: float
     deaths: np.ndarray
@@ -116,24 +113,54 @@ class FVReport:
 # initial ensembles
 # ---------------------------------------------------------------------------
 
+# closed box holding each geometry's states; the kill family then rules out
+# the points of the box where a particle cannot live
+_STATE_BOX = {"torus": (0.0, 1.0), "interval": (0.0, 1.0),
+              "halfline": (0.0, math.inf)}
+
+
+def _live_states(model: KilledModel, values) -> np.ndarray:
+    """``values`` as an array of engine states, refused unless every state
+    lies in the model's state space and survives with positive probability."""
+    arr = np.array(values, dtype=float)
+    if model.kind == "finite":
+        arr = arr.reshape(-1)
+        n_states = model.chain.n_states
+        if not np.all((arr == np.floor(arr)) & (arr >= 0) & (arr < n_states)):
+            raise ValueError(f"initial states of {model.name} must be integers "
+                             f"in 0..{n_states - 1}, got {values!r}")
+        return arr.astype(np.int64)
+    arr = arr.reshape(-1, model.dim)
+    lo, hi = _STATE_BOX[model.geometry]
+    if not np.all((arr >= lo) & (arr <= hi)):
+        raise ValueError(f"initial states of {model.name} must lie in "
+                         f"[{lo}, {hi}], got {values!r}")
+    if np.any(model.kill.prob(arr, model.gamma) >= 1.0):
+        raise ValueError(f"initial states of {model.name} must lie where a "
+                         f"particle can survive, got {values!r}")
+    return arr
+
+
 def init_states(model: KilledModel, n: int, seed: int, init="uniform") -> np.ndarray:
     """Draw the initial particle array from a sampleable description.
 
     ``init`` is ``"uniform"`` (uniform over the live space), a pair
-    ``("dirac", value)``, or an explicit array of states.
+    ``("dirac", value)``, or an explicit array of states.  Given states are
+    checked against the model's state space (ValueError).
     """
     if isinstance(init, np.ndarray):
-        arr = init.copy()
-        if model.kind == KIND_FINITE:
-            return arr.astype(np.int64).reshape(n)
-        return arr.astype(float).reshape(n, model.dim)
+        arr = _live_states(model, init)
+        if arr.shape[0] != n:
+            raise ValueError(f"explicit init has {arr.shape[0]} states, expected {n}")
+        return arr
     if isinstance(init, (tuple, list)) and len(init) == 2 and init[0] == "dirac":
-        if model.kind == KIND_FINITE:
-            return np.full(n, int(init[1]), dtype=np.int64)
-        return np.tile(np.atleast_1d(np.asarray(init[1], dtype=float)), (n, 1))
-    if init != "uniform":
+        arr = _live_states(model, init[1])
+        if arr.shape[0] != 1:
+            raise ValueError(f"a Dirac init takes one state, got {init[1]!r}")
+        return np.repeat(arr, n, axis=0)
+    if not (isinstance(init, str) and init == "uniform"):
         raise ValueError(f"unknown init spec: {init!r}")
-    if model.kind == KIND_FINITE:
+    if model.kind == "finite":
         out = np.empty(n, dtype=np.int64)
         n_states = model.chain.n_states
         for i in range(n):
@@ -189,7 +216,7 @@ def _sorted_source(model: KilledModel, states: np.ndarray) -> np.ndarray:
     the multiset of states; that is what makes label permutation commute
     with a step exactly.
     """
-    if model.kind == KIND_FINITE:
+    if model.kind == "finite":
         return np.sort(states)
     if states.shape[1] == 1:
         return np.sort(states, axis=0)
@@ -215,7 +242,7 @@ def fv_step_reference(model: KilledModel, states: np.ndarray, seed: int,
     sid = step_index + 1
     for i in range(n):
         rng = substream(seed, sid, int(stream_ids[i]))
-        xi = states[i] if model.kind != KIND_FINITE else int(states[i])
+        xi = states[i] if model.kind != "finite" else int(states[i])
         new, dd = q_mu_step(model, xi, src, rng, max_iters=max_iters)
         out[i] = new
         deaths += dd
@@ -226,49 +253,44 @@ def fv_step_reference(model: KilledModel, states: np.ndarray, seed: int,
 # kernel dispatch
 # ---------------------------------------------------------------------------
 
+def _kernel(model: KilledModel):
+    """The step kernel of the model's kind with the model's parameters bound,
+    called as ``kernel(states, src, seed, sid, max_iters)``."""
+    if model.kind == "gauss":
+        return partial(_k.step_gauss, gamma=model.gamma, drift=model.drift,
+                       kill=model.kill, wrap=model.geometry == "torus",
+                       noise=model.noise_scale)
+    if model.kind == "redraw":
+        return partial(_k.step_redraw, gamma=model.gamma, kill=model.kill)
+    if model.kind == "finite":
+        p_kill = model.kill.prob(np.arange(model.chain.n_states), model.gamma)
+        return partial(_k.step_finite, cum_rows=model.cum_rows, p_kill=p_kill,
+                       unif_mean=model.unif_rate * model.gamma)
+    raise NotImplementedError(
+        f"the particle engine does not support model kind {model.kind!r}")
+
+
+def check_runnable(model: KilledModel, init="uniform") -> None:
+    """Fail before any step if the engine cannot run ``model`` from a
+    ``"uniform"`` or Dirac ``init``: NotImplementedError for a kind without
+    a kernel, ValueError for an init outside the live state space."""
+    _kernel(model)
+    init_states(model, 1, 0, init)
+
+
 def _run_chunk(model: KilledModel, states: np.ndarray, seed: int, sid0: int,
                n_steps: int, max_iters: int) -> np.ndarray:
     """Advance ``n_steps`` steps in place; returns per-step death counts."""
     deaths = np.zeros(n_steps, dtype=np.int64)
     if n_steps == 0:
         return deaths
-    if model.kind == KIND_GAUSS:
-        dpar = np.ascontiguousarray(model.drift_params, dtype=np.float64)
-        wrap = model.geometry == "torus"
-        for s in range(n_steps):
-            src = _sorted_source(model, states)
-            d, err = _k.step_gauss(states, src, seed, sid0 + s, model.gamma,
-                                   model.drift_id, dpar, model.kill_id,
-                                   model.kp0, model.kp1, wrap,
-                                   model.noise_scale, max_iters)
-            deaths[s] = d
-            if err >= 0:
-                raise ResurrectionOverflowError(max_iters, step=sid0 - 1 + s,
-                                                particle=err)
-    elif model.kind == KIND_REDRAW:
-        for s in range(n_steps):
-            src = _sorted_source(model, states)
-            d, err = _k.step_redraw(states, src, seed, sid0 + s, model.gamma,
-                                    model.kp0, model.kp1, max_iters)
-            deaths[s] = d
-            if err >= 0:
-                raise ResurrectionOverflowError(max_iters, step=sid0 - 1 + s,
-                                                particle=err)
-    elif model.kind == KIND_FINITE:
-        cum = np.ascontiguousarray(model.cum_rows, dtype=np.float64)
-        pk = np.ascontiguousarray(model.p_kill_states, dtype=np.float64)
-        mean = model.unif_rate * model.gamma
-        for s in range(n_steps):
-            src = _sorted_source(model, states)
-            d, err = _k.step_finite(states, src, seed, sid0 + s, cum, pk,
-                                    mean, max_iters)
-            deaths[s] = d
-            if err >= 0:
-                raise ResurrectionOverflowError(max_iters, step=sid0 - 1 + s,
-                                                particle=err)
-    else:
-        raise NotImplementedError(
-            f"the particle engine does not support model kind {model.kind}")
+    step = _kernel(model)
+    for s in range(n_steps):
+        src = _sorted_source(model, states)
+        deaths[s], err = step(states, src, seed, sid0 + s, max_iters)
+        if err >= 0:
+            raise ResurrectionOverflowError(max_iters, step=sid0 - 1 + s,
+                                            particle=err)
     return deaths
 
 
@@ -313,7 +335,7 @@ def run_fv(model: KilledModel, config: FVConfig, init="uniform") -> FVReport:
         snapshots.append((done, states.copy()))
     elapsed = time.perf_counter() - t0
     return FVReport(model=model.describe(), config=config.as_dict(),
-                    seed=config.seed, backend=_k.BACKEND,
+                    seed=config.seed,
                     n_particles=config.n_particles, gamma=model.gamma,
                     deaths=deaths, snapshots=snapshots,
                     final_states=states.copy(), geometry=model.geometry,
@@ -342,7 +364,7 @@ def write_report(report: FVReport, outdir) -> dict:
         "model": report.model,
         "config": report.config,
         "seed": report.seed,
-        "backend": report.backend,
+        "backend": "numpy",
         "n_particles": report.n_particles,
         "gamma": report.gamma,
         "geometry": report.geometry,

@@ -17,26 +17,21 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import (
-    DRIFT_CONST,
-    DRIFT_SINE,
-    DRIFT_ZERO,
-    KILL_CONST,
-    KILL_COSINE,
-    KILL_HARD_INTERVAL,
-    KILL_NONE,
-    KILL_POWER,
-    KIND_FINITE,
-    KIND_GAUSS,
-    KIND_GROWTHFRAG,
-    KIND_REDRAW,
-)
 from .streams import Stream
 
 __all__ = [
     "KilledModel",
     "FiniteKilledChain",
     "ModelEvaluationError",
+    "ZeroDrift",
+    "ConstDrift",
+    "SineDrift",
+    "NoKill",
+    "ConstKill",
+    "CosineKill",
+    "IntervalKill",
+    "PowerKill",
+    "StateKill",
     "propose",
     "kill_prob",
     "analytic_qsd",
@@ -58,6 +53,181 @@ _TWO_PI = 2.0 * math.pi
 
 class ModelEvaluationError(ValueError):
     """A model produced a non-finite value during evaluation."""
+
+
+# ---------------------------------------------------------------------------
+# drift and kill families
+# ---------------------------------------------------------------------------
+#
+# Each family is written once and evaluated on an ``(n, d)`` array of
+# points; the particle engine passes whole ensembles, the scalar reference
+# (``propose`` / ``kill_prob``) passes one row and the grid oracle passes
+# its grid.  ``tag`` and ``params`` are the family's entries in the model
+# block of ``report.json``.
+
+@dataclass(frozen=True)
+class ZeroDrift:
+    dim: int = 1
+
+    tag = 0
+
+    @property
+    def params(self) -> tuple:
+        return (0.0,) * self.dim
+
+    def drift(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros_like(x)
+
+
+@dataclass(frozen=True)
+class ConstDrift:
+    """The same speed on every coordinate."""
+
+    speed: float
+    dim: int = 1
+
+    tag = 1
+
+    @property
+    def params(self) -> tuple:
+        return (self.speed,) * self.dim
+
+    def drift(self, x: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.speed, x.shape)
+
+
+@dataclass(frozen=True)
+class SineDrift:
+    """``b(x) = amplitude * sin(2*pi*x)`` on the first coordinate."""
+
+    amplitude: float
+
+    tag = 2
+
+    @property
+    def params(self) -> tuple:
+        return (self.amplitude,)
+
+    def drift(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        out[:, 0] = self.amplitude * np.sin(_TWO_PI * x[:, 0])
+        return out
+
+
+class _SoftKill:
+    """Killing at ``rate(x)`` per unit time: probability ``1 - exp(-gamma*rate)``
+    over one step."""
+
+    def prob(self, x: np.ndarray, gamma: float) -> np.ndarray:
+        return 1.0 - np.exp(-gamma * self.rate(x))
+
+
+@dataclass(frozen=True)
+class NoKill(_SoftKill):
+    tag = 0
+    params = (0.0, 0.0)
+
+    def rate(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros(x.shape[0])
+
+
+@dataclass(frozen=True)
+class ConstKill(_SoftKill):
+    level: float
+
+    tag = 1
+
+    def __post_init__(self):
+        if self.level < 0:
+            raise ValueError("constant kill rate must be nonnegative")
+
+    @property
+    def params(self) -> tuple:
+        return (self.level, 0.0)
+
+    def rate(self, x: np.ndarray) -> np.ndarray:
+        return np.full(x.shape[0], self.level)
+
+    def prob(self, x: np.ndarray, gamma: float) -> np.ndarray:
+        return np.full(x.shape[0], 1.0 - math.exp(-gamma * self.level))
+
+
+@dataclass(frozen=True)
+class CosineKill(_SoftKill):
+    """Rate ``level + amplitude * cos(2*pi*x)`` on the first coordinate."""
+
+    level: float
+    amplitude: float
+
+    tag = 2
+
+    def __post_init__(self):
+        if not (0.0 <= self.amplitude <= self.level):
+            raise ValueError("cosine kill rate needs 0 <= amplitude <= level")
+
+    @property
+    def params(self) -> tuple:
+        return (self.level, self.amplitude)
+
+    def rate(self, x: np.ndarray) -> np.ndarray:
+        return self.level + self.amplitude * np.cos(_TWO_PI * x[:, 0])
+
+
+@dataclass(frozen=True)
+class IntervalKill:
+    """Hard killing, which has no rate: probability 1 unless the first
+    coordinate lies in (lo, hi)."""
+
+    lo: float
+    hi: float
+
+    tag = 3
+
+    @property
+    def params(self) -> tuple:
+        return (self.lo, self.hi)
+
+    def prob(self, x: np.ndarray, gamma: float) -> np.ndarray:
+        return np.where((x[:, 0] > self.lo) & (x[:, 0] < self.hi), 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class PowerKill(_SoftKill):
+    """Rate ``c * x**q`` on the first coordinate."""
+
+    c: float
+    q: float
+
+    tag = 4
+
+    def __post_init__(self):
+        if self.c < 0 or self.q < 0:
+            raise ValueError("power kill rate needs nonnegative coefficient and exponent")
+
+    @property
+    def params(self) -> tuple:
+        return (self.c, self.q)
+
+    def rate(self, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        return scale * self.c * x[:, 0] ** self.q
+
+    def prob(self, x: np.ndarray, gamma: float) -> np.ndarray:
+        # (-gamma * c) * x**q: this rounding order is part of the pinned runs
+        return 1.0 - np.exp(self.rate(x, -gamma))
+
+
+@dataclass(frozen=True, eq=False)
+class StateKill(_SoftKill):
+    """Per-state rates of a finite chain, indexed by integer states.  Finite
+    models report no kill family: their rates are part of the chain."""
+
+    rates: np.ndarray
+
+    tag = 0
+    params = (0.0, 0.0)
+
+    def rate(self, x: np.ndarray) -> np.ndarray:
+        return self.rates[x]
 
 
 # ---------------------------------------------------------------------------
@@ -136,88 +306,66 @@ class FiniteKilledChain:
 # killed models (discrete-time, propose/kill form)
 # ---------------------------------------------------------------------------
 
+_REPORT_TAGS = {"gauss": 0, "redraw": 1, "finite": 2, "growth_frag": 3}
+
+
 @dataclass
 class KilledModel:
-    """A discrete-time killed model usable by the particle engine."""
+    """A discrete-time killed model usable by the particle engine.
+
+    ``kind`` names the proposal: ``"gauss"`` (``x + gamma*drift(x) +
+    sqrt(gamma)*noise_scale*xi``, wrapped on the torus), ``"redraw"``
+    (Uniform(0, 1) with probability ``1 - exp(-gamma)``, else stay),
+    ``"finite"`` (the uniformized jump chain of ``chain``) or
+    ``"growth_frag"`` (proposals only; the engine has no kernel for it).
+    ``drift`` and ``kill`` are family objects; the kill acts at the
+    proposed point.
+    """
 
     name: str
     geometry: str                  # "torus" | "interval" | "finite" | "halfline"
     dim: int
     gamma: float
-    kind: int
-    drift_id: int = DRIFT_ZERO
-    drift_params: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    kill_id: int = KILL_NONE
-    kp0: float = 0.0
-    kp1: float = 0.0
+    kind: str
+    drift: object = ZeroDrift()
+    kill: object = NoKill()
     noise_scale: float = 1.0
     gamma_max: Optional[float] = None
     # finite-chain payload
     chain: Optional[FiniteKilledChain] = None
     cum_rows: Optional[np.ndarray] = None
-    p_kill_states: Optional[np.ndarray] = None
     unif_rate: float = 0.0
     # growth-fragmentation payload (constants)
     gf_growth: float = 0.0
     gf_frac: float = 0.5
     gf_jump_rate: float = 0.0
-    gf_kill_rate: float = 0.0
 
     def __post_init__(self):
         if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
             raise ValueError("gamma must be a positive real")
         if self.gamma_max is not None and self.gamma > self.gamma_max:
             raise ValueError(f"gamma={self.gamma} exceeds the model's gamma_max={self.gamma_max}")
-        self.drift_params = np.asarray(self.drift_params, dtype=float)
-        if self.kill_id == KILL_CONST and self.kp0 < 0:
-            raise ValueError("constant kill rate must be nonnegative")
-        if self.kill_id == KILL_COSINE and not (0.0 <= self.kp1 <= self.kp0):
-            raise ValueError("cosine kill rate needs 0 <= amplitude <= level")
-        if self.kill_id == KILL_POWER and (self.kp0 < 0 or self.kp1 < 0):
-            raise ValueError("power kill rate needs nonnegative coefficient and exponent")
+        if self.kind not in _REPORT_TAGS:
+            raise ValueError(f"unknown model kind {self.kind!r}; known: {sorted(_REPORT_TAGS)}")
 
     def describe(self) -> dict:
+        kp0, kp1 = self.kill.params
         d = {
             "name": self.name,
             "geometry": self.geometry,
             "dim": self.dim,
             "gamma": self.gamma,
-            "kind": self.kind,
-            "drift_id": self.drift_id,
-            "drift_params": [float(v) for v in np.atleast_1d(self.drift_params)],
-            "kill_id": self.kill_id,
-            "kp0": self.kp0,
-            "kp1": self.kp1,
+            "kind": _REPORT_TAGS[self.kind],
+            "drift_id": self.drift.tag,
+            "drift_params": [float(v) for v in self.drift.params],
+            "kill_id": self.kill.tag,
+            "kp0": kp0,
+            "kp1": kp1,
             "noise_scale": self.noise_scale,
         }
         if self.chain is not None:
             d["n_states"] = self.chain.n_states
         return d
-
-    def kill_rate(self, x) -> float:
-        """Per-unit-time kill rate at a point (soft-kill families only)."""
-        if self.kind == KIND_FINITE:
-            return float(self.chain.kill_rates[int(x)])
-        x0 = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-        if self.kill_id == KILL_CONST:
-            return self.kp0
-        if self.kill_id == KILL_COSINE:
-            return self.kp0 + self.kp1 * math.cos(_TWO_PI * x0)
-        if self.kill_id == KILL_POWER:
-            return self.kp0 * x0 ** self.kp1
-        if self.kill_id == KILL_NONE:
-            return 0.0
-        raise ValueError("hard-kill models have no finite kill rate")
-
-
-def _drift_at(model: KilledModel, y: np.ndarray) -> np.ndarray:
-    if model.drift_id == DRIFT_CONST:
-        return model.drift_params[: model.dim]
-    if model.drift_id == DRIFT_SINE:
-        out = np.zeros(model.dim)
-        out[0] = model.drift_params[0] * math.sin(_TWO_PI * y[0])
-        return out
-    return np.zeros(model.dim)
 
 
 def propose(model: KilledModel, x, rng: Stream):
@@ -228,19 +376,20 @@ def propose(model: KilledModel, x, rng: Stream):
     particle engine exactly, so a particle step can be replayed with the
     same stream.
     """
-    if model.kind == KIND_FINITE:
+    if model.kind == "finite":
         return _propose_finite(model, int(x), rng)
-    if model.kind == KIND_REDRAW:
-        return _propose_redraw(model, np.atleast_1d(np.asarray(x, dtype=float)), rng)
-    if model.kind == KIND_GROWTHFRAG:
-        return _propose_growthfrag(model, np.atleast_1d(np.asarray(x, dtype=float)), rng)
-    return _propose_gauss(model, np.atleast_1d(np.asarray(x, dtype=float)), rng)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if model.kind == "redraw":
+        return _propose_redraw(model, x, rng)
+    if model.kind == "growth_frag":
+        return _propose_growthfrag(model, x, rng)
+    return _propose_gauss(model, x, rng)
 
 
 def _propose_gauss(model: KilledModel, x: np.ndarray, rng: Stream) -> np.ndarray:
     d = model.dim
     sqrtg = math.sqrt(model.gamma)
-    b = _drift_at(model, x)
+    b = model.drift.drift(x[None, :])[0]
     if not np.all(np.isfinite(b)):
         raise ModelEvaluationError(f"drift is not finite at {x!r}")
     out = np.empty(d)
@@ -280,16 +429,11 @@ def _propose_growthfrag(model: KilledModel, x: np.ndarray, rng: Stream) -> np.nd
 
 def kill_prob(model: KilledModel, x_proposed) -> float:
     """Kill probability evaluated at the proposed (post-move) point."""
-    if model.kind == KIND_FINITE:
-        return float(model.p_kill_states[int(x_proposed)])
-    x = np.atleast_1d(np.asarray(x_proposed, dtype=float))
-    if model.kill_id == KILL_NONE:
-        return 0.0
-    if model.kill_id == KILL_HARD_INTERVAL:
-        return 0.0 if (model.kp0 < x[0] < model.kp1) else 1.0
-    if model.kind == KIND_GROWTHFRAG:
-        return 1.0 - math.exp(-model.gamma * model.gf_kill_rate)
-    return 1.0 - math.exp(-model.gamma * model.kill_rate(x))
+    if model.kind == "finite":
+        row = np.array([int(x_proposed)])
+    else:
+        row = np.atleast_1d(np.asarray(x_proposed, dtype=float))[None, :]
+    return float(model.kill.prob(row, model.gamma)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +476,13 @@ class HouseOfCard:
         if self.c < 0 or self.q < 0:
             raise ValueError("house_of_card needs c >= 0 and q >= 0")
 
+    @property
+    def kill(self) -> PowerKill:
+        return PowerKill(self.c, self.q)
+
     def model(self, gamma: float) -> KilledModel:
         return KilledModel(name="house_of_card", geometry="interval", dim=1,
-                           gamma=gamma, kind=KIND_REDRAW,
-                           kill_id=KILL_POWER, kp0=self.c, kp1=self.q)
-
-    def kill_rate(self, x):
-        return self.c * np.asarray(x, dtype=float) ** self.q
+                           gamma=gamma, kind="redraw", kill=self.kill)
 
 
 @dataclass(frozen=True)
@@ -393,9 +537,8 @@ class PeriodicShift:
 
     def model(self, gamma: float) -> KilledModel:
         return KilledModel(name="periodic_shift", geometry="torus", dim=1,
-                           gamma=gamma, kind=KIND_GAUSS,
-                           drift_id=DRIFT_CONST, drift_params=np.array([self.speed]),
-                           noise_scale=0.0)
+                           gamma=gamma, kind="gauss",
+                           drift=ConstDrift(float(self.speed)), noise_scale=0.0)
 
 
 @dataclass(frozen=True)
@@ -420,9 +563,10 @@ class GrowthFrag:
 
     def model(self, gamma: float) -> KilledModel:
         return KilledModel(name="growth_frag", geometry="halfline", dim=1,
-                           gamma=gamma, kind=KIND_GROWTHFRAG,
+                           gamma=gamma, kind="growth_frag",
+                           kill=ConstKill(self.kill_rate),
                            gf_growth=self.growth, gf_frac=self.frac,
-                           gf_jump_rate=self.jump_rate, gf_kill_rate=self.kill_rate)
+                           gf_jump_rate=self.jump_rate)
 
 
 @dataclass(frozen=True)
@@ -439,42 +583,40 @@ class TorusDiffusion:
     drift: object = None
     kill: object = None
 
-    def model(self, gamma: float) -> KilledModel:
-        drift_id, dpar = DRIFT_ZERO, np.zeros(max(self.dim, 1))
-        if isinstance(self.drift, (int, float)) and self.drift is not None:
-            drift_id, dpar = DRIFT_CONST, np.full(self.dim, float(self.drift))
-        elif isinstance(self.drift, (tuple, list)) and self.drift and self.drift[0] == "sine":
+    def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
+            raise ValueError("torus_diffusion needs an integer dim >= 1")
+        self.families()
+
+    def families(self) -> tuple:
+        """The ``(drift, kill)`` family objects named by ``drift`` and ``kill``."""
+        drift, kill = self.drift, self.kill
+        if drift is None:
+            drift_f = ZeroDrift(self.dim)
+        elif isinstance(drift, (int, float)):
+            drift_f = ConstDrift(float(drift), self.dim)
+        elif isinstance(drift, (tuple, list)) and len(drift) == 2 and drift[0] == "sine":
             if self.dim != 1:
                 raise ValueError("sine drift is one dimensional")
-            drift_id, dpar = DRIFT_SINE, np.array([float(self.drift[1])])
-        elif self.drift is not None:
-            raise ValueError(f"unknown drift family: {self.drift!r}")
-        kill_id, kp0, kp1 = KILL_NONE, 0.0, 0.0
-        if isinstance(self.kill, (int, float)) and self.kill is not None:
-            kill_id, kp0 = KILL_CONST, float(self.kill)
-        elif isinstance(self.kill, (tuple, list)) and self.kill and self.kill[0] == "cosine":
+            drift_f = SineDrift(float(drift[1]))
+        else:
+            raise ValueError(f"unknown drift family: {drift!r}")
+        if kill is None:
+            kill_f = NoKill()
+        elif isinstance(kill, (int, float)):
+            kill_f = ConstKill(float(kill))
+        elif isinstance(kill, (tuple, list)) and len(kill) == 3 and kill[0] == "cosine":
             if self.dim != 1:
                 raise ValueError("cosine kill is one dimensional")
-            kill_id, kp0, kp1 = KILL_COSINE, float(self.kill[1]), float(self.kill[2])
-        elif self.kill is not None:
-            raise ValueError(f"unknown kill family: {self.kill!r}")
+            kill_f = CosineKill(float(kill[1]), float(kill[2]))
+        else:
+            raise ValueError(f"unknown kill family: {kill!r}")
+        return drift_f, kill_f
+
+    def model(self, gamma: float) -> KilledModel:
+        drift, kill = self.families()
         return KilledModel(name="torus_diffusion", geometry="torus", dim=self.dim,
-                           gamma=gamma, kind=KIND_GAUSS, drift_id=drift_id,
-                           drift_params=dpar, kill_id=kill_id, kp0=kp0, kp1=kp1)
-
-    def drift_values(self, x: np.ndarray) -> np.ndarray:
-        if self.drift is None:
-            return np.zeros_like(x)
-        if isinstance(self.drift, (int, float)):
-            return np.full_like(x, float(self.drift))
-        return float(self.drift[1]) * np.sin(_TWO_PI * x)
-
-    def kill_values(self, x: np.ndarray) -> np.ndarray:
-        if self.kill is None:
-            return np.zeros_like(x)
-        if isinstance(self.kill, (int, float)):
-            return np.full_like(x, float(self.kill))
-        return float(self.kill[1]) + float(self.kill[2]) * np.cos(_TWO_PI * x)
+                           gamma=gamma, kind="gauss", drift=drift, kill=kill)
 
 
 @dataclass(frozen=True)
@@ -483,8 +625,7 @@ class IntervalBrownian:
 
     def model(self, gamma: float) -> KilledModel:
         return KilledModel(name="interval_brownian", geometry="interval", dim=1,
-                           gamma=gamma, kind=KIND_GAUSS,
-                           kill_id=KILL_HARD_INTERVAL, kp0=0.0, kp1=1.0)
+                           gamma=gamma, kind="gauss", kill=IntervalKill(0.0, 1.0))
 
 
 def discrete_model(chain: FiniteKilledChain, gamma: float, name: str = "finite") -> KilledModel:
@@ -506,9 +647,8 @@ def discrete_model(chain: FiniteKilledChain, gamma: float, name: str = "finite")
         cum = np.cumsum(np.eye(n), axis=1)
     cum[:, -1] = 1.0
     return KilledModel(name=name, geometry="finite", dim=1, gamma=gamma,
-                       kind=KIND_FINITE, chain=chain, cum_rows=cum,
-                       p_kill_states=1.0 - np.exp(-gamma * chain.kill_rates),
-                       unif_rate=rate)
+                       kind="finite", kill=StateKill(chain.kill_rates),
+                       chain=chain, cum_rows=cum, unif_rate=rate)
 
 
 PRESETS = {

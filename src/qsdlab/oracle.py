@@ -123,8 +123,9 @@ class ReducibilityDiagnostic:
         return len(self.classes)
 
     def __str__(self):
+        classes = [[int(s) for s in c] for c in self.classes]
         return (f"not primitive: {self.n_classes} communicating class(es), "
-                f"period {self.period}; classes {[list(c) for c in self.classes]}")
+                f"period {self.period}; classes {classes}")
 
 
 @dataclass
@@ -469,7 +470,8 @@ def grid_generator(preset, n_grid: int, zero_atom: bool = False) -> FiniteKilled
         h = 1.0 / n_grid
         x = np.arange(n_grid) * h
         rate = 0.5 / (h * h)
-        b = preset.drift_values(x)
+        drift, kill = preset.families()
+        b = drift.drift(x[:, None])[:, 0]
         q = np.zeros((n_grid, n_grid))
         for i in range(n_grid):
             up, dn = (i + 1) % n_grid, (i - 1) % n_grid
@@ -479,7 +481,7 @@ def grid_generator(preset, n_grid: int, zero_atom: bool = False) -> FiniteKilled
                 q[i, up] += b[i] / h
             elif b[i] < 0:
                 q[i, dn] += -b[i] / h
-        return FiniteKilledChain(q, preset.kill_values(x), positions=x,
+        return FiniteKilledChain(q, kill.rate(x[:, None]), positions=x,
                                  geometry="torus", name="torus_diffusion_grid")
     if isinstance(preset, HouseOfCard):
         x = (np.arange(n_grid) + 0.5) / n_grid
@@ -489,14 +491,14 @@ def grid_generator(preset, n_grid: int, zero_atom: bool = False) -> FiniteKilled
             q = np.zeros((n_grid + 1, n_grid + 1))
             q[:, 1:] = 1.0 / n_grid
             np.fill_diagonal(q, 0.0)
-            kill = np.concatenate([[0.0], preset.c * x ** preset.q])
+            kill = np.concatenate([[0.0], preset.kill.rate(x[:, None])])
             return FiniteKilledChain(q, kill,
                                      positions=np.concatenate([[0.0], x]),
                                      geometry="interval",
                                      name="house_of_card_grid_atom")
         q = np.full((n_grid, n_grid), 1.0 / n_grid)
         np.fill_diagonal(q, 0.0)
-        kill = preset.c * x ** preset.q
+        kill = preset.kill.rate(x[:, None])
         return FiniteKilledChain(q, kill, positions=x, geometry="interval",
                                  name="house_of_card_grid")
     if zero_atom:

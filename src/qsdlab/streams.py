@@ -33,15 +33,15 @@ class Stream:
 
     def u01(self) -> float:
         """Uniform draw on [0, 1)."""
-        u = _k.scalar_u01(self.key, self.counter)
+        u = _k._u01_py(self.key, self.counter)
         self.counter += 1
-        return float(u)
+        return u
 
     def normal(self) -> float:
         """Standard normal draw (consumes two counter positions)."""
-        z = _k.scalar_normal(self.key, self.counter)
+        z = _k._normal_py(self.key, self.counter)
         self.counter += 2
-        return float(z)
+        return z
 
     def normals(self, n: int):
         return [self.normal() for _ in range(n)]
@@ -59,10 +59,8 @@ class Stream:
         k = 0
         acc = 0.0
         while True:
-            raw = _k.raw_draw(self.key, self.counter)
+            acc += math.log(_k._u01_open_py(self.key, self.counter))
             self.counter += 1
-            u = ((raw >> 11) + 1) * (1.0 / 9007199254740992.0)
-            acc += math.log(u)
             if acc <= log_l:
                 return k
             k += 1

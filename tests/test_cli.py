@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import subprocess
@@ -64,6 +65,38 @@ def test_unknown_key_and_preset_and_params(tmp_path):
         "mode": "oracle", "model": {"name": "two_point",
                                     "params": {"a": 1.0, "b": 2.0}}})
     assert main(["simulate", "--config", cfg]) == EXIT_BAD_CONFIG  # mode mismatch
+    # wrongly typed numbers fail as config errors, never as runtime errors
+    simulate = {"mode": "simulate",
+                "model": {"name": "interval_brownian", "params": {}},
+                "output_dir": str(tmp_path / "never")}
+    fv = {"n_particles": 8, "gamma": 0.01, "n_steps": 2}
+    for i, (key, value) in enumerate((("gamma", "0.01"), ("gamma", math.nan),
+                                      ("gamma", True), ("n_particles", 8.5),
+                                      ("n_steps", "2"))):
+        cfg = _write(tmp_path, f"fv{i}.json", {**simulate, "fv": {**fv, key: value}})
+        assert main(["simulate", "--config", cfg]) == EXIT_BAD_CONFIG, (key, value)
+    cfg = _write(tmp_path, "seed.json", {**simulate, "fv": fv, "seed": True})
+    assert main(["simulate", "--config", cfg]) == EXIT_BAD_CONFIG
+    cfg = _write(tmp_path, "sweep.json", {
+        "mode": "sweep",
+        "model": {"name": "torus_diffusion", "params": {"dim": 1}},
+        "output_dir": str(tmp_path / "never"),
+        "sweep": {"gammas": ["0.01"], "n_particles": [8], "horizons": [0.1]}})
+    assert main(["sweep", "--config", cfg]) == EXIT_BAD_CONFIG
+    # models the engine cannot run, and initial states outside the live
+    # space, fail before the first step instead of failing or spinning in it
+    for i, (name, params, init) in enumerate((
+            ("growth_frag", {}, "uniform"),
+            ("two_point", {"a": 1.0, "b": 2.0}, ["dirac", 5]),
+            ("two_point", {"a": 1.0, "b": 2.0}, ["dirac", 0.5]),
+            ("interval_brownian", {}, ["dirac", 2.0]),
+            ("interval_brownian", {}, ["dirac", 0.0]),
+            ("interval_brownian", {}, "bogus"))):
+        cfg = _write(tmp_path, f"init{i}.json", {
+            **simulate, "model": {"name": name, "params": params},
+            "fv": {**fv, "init": init, "max_resurrection_iters": 10}})
+        assert main(["simulate", "--config", cfg]) == EXIT_BAD_CONFIG, (name, init)
+    assert not (tmp_path / "never").exists()
 
 
 def test_oracle_mode_needs_a_finite_chain_preset(tmp_path):

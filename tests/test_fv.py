@@ -6,7 +6,6 @@ import pytest
 import scipy.linalg
 
 import qsdlab as q
-from qsdlab import _kernels as k
 from qsdlab.fv import (
     FVConfig,
     ParticleEnsemble,
@@ -179,12 +178,9 @@ def test_kernel_matches_reference_step():
         ens = ParticleEnsemble(states=states.copy(), step_index=3, seed=11)
         out = fv_step(model, ens)
         ref, deaths = fv_step_reference(model, states, 11, 3)
-        if k.NUMBA_ENABLED:
-            assert np.array_equal(out.states, ref), tag
-        else:
-            np.testing.assert_allclose(out.states.astype(float),
-                                       ref.astype(float), rtol=1e-12,
-                                       atol=1e-13, err_msg=tag)
+        np.testing.assert_allclose(out.states.astype(float),
+                                   ref.astype(float), rtol=1e-12,
+                                   atol=1e-13, err_msg=tag)
         assert out.deaths_this_step == deaths, tag
 
 
@@ -309,12 +305,14 @@ def test_two_torus_constant_kill_keeps_uniform_law():
 
 
 def test_kernel_path_overflow_is_annotated():
+    # proposals of standard deviation 10 almost never land in (0.4, 0.6)
     model = q.KilledModel(name="narrow", geometry="interval", dim=1,
-                          gamma=1e-8, kind=0, kill_id=3, kp0=0.4, kp1=0.6)
+                          gamma=100.0, kind="gauss",
+                          kill=q.IntervalKill(0.4, 0.6))
     cfg = FVConfig(n_particles=8, n_steps=3, seed=1, snapshot_stride=1,
                    max_resurrection_iters=5)
     with pytest.raises(q.ResurrectionOverflowError) as err:
-        run_fv(model, cfg, init=("dirac", 0.9))
+        run_fv(model, cfg, init=("dirac", 0.5))
     assert err.value.step == 0
     assert 0 <= err.value.particle < 8
     assert err.value.iterations == 5
@@ -345,10 +343,17 @@ def test_dirac_and_array_inits():
     model = _torus(0.01)
     arr = init_states(model, 5, 0, init=("dirac", 0.25))
     assert np.all(arr == 0.25)
-    explicit = init_states(model, 3, 0, init=np.array([[0.1], [0.2], [0.3]]))
+    given = np.array([[0.1], [0.2], [0.3]])
+    explicit = init_states(model, 3, 0, init=given)
     assert explicit.shape == (3, 1)
+    assert not np.shares_memory(explicit, given)
     with pytest.raises(ValueError):
         init_states(model, 3, 0, init="bogus")
+    # given states must lie where a particle of the model can live
+    with pytest.raises(ValueError):
+        init_states(q.IntervalBrownian().model(0.01), 3, 0, init=("dirac", 1.0))
+    with pytest.raises(ValueError):
+        init_states(q.TwoPoint(1.0, 2.0).model(0.1), 3, 0, init=np.array([0, 1, 2]))
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,7 @@ def test_finite_propose_without_jumps():
 
 
 def test_propose_rejects_nonfinite_drift():
-    model = _torus_model(0.01, drift=1.0)
-    model.drift_params[0] = math.nan
+    model = _torus_model(0.01, drift=math.nan)
     with pytest.raises(ModelEvaluationError):
         propose(model, np.array([0.2]), substream(0, 1, 0))
 

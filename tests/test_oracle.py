@@ -206,6 +206,7 @@ def test_two_point_is_reducible_with_two_qsds():
     diag = perron_triplet(m)
     assert isinstance(diag, ReducibilityDiagnostic)
     assert diag.n_classes == 2
+    assert str(diag).endswith("classes [[0], [1]]"), str(diag)
     comps = list_qsds(m)
     assert len(comps) == 2
     np.testing.assert_allclose(comps[0].qsd, [0.5, 0.5], atol=1e-9)

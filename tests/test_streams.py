@@ -80,15 +80,6 @@ def test_vectorized_draws_match_scalar():
     np.testing.assert_allclose(vecn, scan, rtol=1e-12, atol=1e-14)
 
 
-def test_backend_scalar_consistent_with_python():
-    vals_backend = [k.scalar_u01(k.derive_key(3, 1, i), 4) for i in range(32)]
-    vals_python = [k._u01_py(k.derive_key(3, 1, i), 4) for i in range(32)]
-    np.testing.assert_allclose(vals_backend, vals_python, rtol=0, atol=0)
-    z_backend = [k.scalar_normal(k.derive_key(3, 1, i), 0) for i in range(32)]
-    z_python = [k._normal_py(k.derive_key(3, 1, i), 0) for i in range(32)]
-    np.testing.assert_allclose(z_backend, z_python, rtol=1e-12, atol=1e-14)
-
-
 def test_spawn_is_deterministic():
     a = substream(1, 2, 3).spawn(9)
     b = substream(1, 2, 3).spawn(9)
