@@ -84,7 +84,7 @@ config file layout (JSON, unknown keys rejected):
     "output_dir": "out",            # optional
     "fv":     {"n_particles":..,"gamma":..,"n_steps":..,
                "snapshot_stride":..,"max_resurrection_iters":..,"init":..},
-    "oracle": {"n_grid":..,"t0":..,"survival_steps":..,"conditional_iters":..},
+    "oracle": {"n_grid":..,"t0":..,"survival_steps":..},
     "harris": {"t0":..,"family":"geometric","q1_grid":[..],"q2_grid":[..],
                "k_fractions":[..],"n_max":..},
     "sweep":  {"gammas":[..],"n_particles":[..],"horizons":[..],
@@ -171,8 +171,8 @@ def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path) -> None:
     chain = _chain_for(preset, cfg.oracle)
     t0 = float(cfg.oracle.get("t0", _default_t0(preset, chain)))
     m = killed_semigroup(chain, t0)
-    comps = list_qsds(m)
     trip = perron_triplet(m)
+    comps = list_qsds(m, trip)
     payload = {
         "model": {"name": cfg.model_name, "params": cfg.model_params},
         "t0": t0,

@@ -7,12 +7,11 @@ misspell a knob.  See ``qsdlab --help`` for the documented layout.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .fv import check_runnable
-from .models import build_preset
+from .models import _is_number, build_preset
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config"]
 
@@ -54,7 +53,7 @@ _TOP_KEYS = {"mode", "model", "seed", "output_dir", "fv", "oracle", "harris",
 _MODEL_KEYS = {"name", "params"}
 _FV_KEYS = {"n_particles", "gamma", "n_steps", "snapshot_stride",
             "max_resurrection_iters", "init"}
-_ORACLE_KEYS = {"n_grid", "t0", "survival_steps", "conditional_iters"}
+_ORACLE_KEYS = {"n_grid", "t0", "survival_steps"}
 _HARRIS_KEYS = {"t0", "family", "q1_grid", "q2_grid", "k_fractions", "n_max"}
 _SWEEP_KEYS = {"gammas", "n_particles", "horizons", "n_seeds", "burn_fraction",
                "snapshot_stride", "n_grid", "oracle_t0"}
@@ -62,11 +61,6 @@ _SWEEP_KEYS = {"gammas", "n_particles", "horizons", "n_seeds", "burn_fraction",
 
 # Value checks: (predicate, description).  JSON booleans are not numbers
 # here, strings are never coerced and counts must be integers.
-
-def _is_number(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
 
 def _count(lo: int):
     return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo,
@@ -88,7 +82,7 @@ _VALUES = {
     "fv": {"n_particles": _count(1), "gamma": _POSITIVE, "n_steps": _count(0),
            "snapshot_stride": _count(1), "max_resurrection_iters": _count(1)},
     "oracle": {"n_grid": _count(16), "t0": _POSITIVE,
-               "survival_steps": _count(0), "conditional_iters": _count(0)},
+               "survival_steps": _count(0)},
     "harris": {"t0": _POSITIVE, "n_max": _count(1), "q1_grid": _NUMBERS,
                "q2_grid": _NUMBERS, "k_fractions": _NUMBERS},
     "sweep": {"gammas": _list_of(_POSITIVE), "n_particles": _list_of(_count(1)),

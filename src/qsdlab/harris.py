@@ -29,6 +29,8 @@ from .models import FiniteKilledChain
 from .oracle import (
     EigenTriplet,
     KilledSemigroupMatrix,
+    _poisson_weights,
+    _substep_kernel,
     killed_semigroup,
     perron_triplet,
 )
@@ -248,10 +250,7 @@ def check_irreducibility(chain: FiniteKilledChain, K, t0: float):
     if lam == 0.0:
         eps = 1.0 if k_idx.size == 1 else 0.0
         return eps, eps > 0
-    p_sub = np.eye(n) + chain.generator() / lam
-    np.clip(p_sub, 0.0, None, out=p_sub)
-    from .oracle import _poisson_weights
-
+    p_sub = _substep_kernel(chain, lam)
     weights = _poisson_weights(lam * t0)
     eps = math.inf
     for y in k_idx:

@@ -12,7 +12,7 @@ time-discretization error in the jump part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -662,9 +662,30 @@ PRESETS = {
 }
 
 
+def _is_number(v) -> bool:
+    """A finite number; booleans and strings are not numbers."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+# the config values each preset field type takes; a drift or kill family
+# ("object") is None, a number, or [name, number, ...]
+_PARAM_OK = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_number,
+    "object": lambda v: v is None or _is_number(v) or (
+        isinstance(v, (list, tuple)) and len(v) > 0 and isinstance(v[0], str)
+        and all(_is_number(p) for p in v[1:])),
+}
+
+
 def build_preset(name: str, params: dict):
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
+    kinds = {f.name: f.type for f in fields(PRESETS[name])}
+    for key, value in params.items():
+        if key in kinds and not _PARAM_OK[kinds[key]](value):
+            raise ValueError(f"bad parameter {key}={value!r} for preset {name!r}")
     try:
         return PRESETS[name](**params)
     except TypeError as exc:

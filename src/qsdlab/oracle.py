@@ -7,6 +7,10 @@ back up (squaring a nonnegative substochastic matrix preserves both
 properties).  Eigen-elements come from power iteration on ``M`` and its
 transpose, which is the ground truth every stochastic output is tested
 against.
+
+The class and period analysis of the support graph runs once per matrix, in
+``perron_triplet``; ``list_qsds`` takes the classes from its result, and an
+oracle run that passes its triplet to ``list_qsds`` computes one triplet.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .models import (
     FiniteKilledChain,
@@ -157,6 +161,13 @@ def _poisson_weights(mean: float, tail: float = _POISSON_TAIL) -> np.ndarray:
     return np.array(w)
 
 
+def _substep_kernel(chain: FiniteKilledChain, lam: float) -> np.ndarray:
+    """Uniformized sub-step kernel ``I + A/lam``, clipped to be nonnegative."""
+    p_sub = np.eye(chain.n_states) + chain.generator() / lam
+    np.clip(p_sub, 0.0, None, out=p_sub)
+    return p_sub
+
+
 def killed_semigroup(chain: FiniteKilledChain, t: float) -> KilledSemigroupMatrix:
     """``exp(t * (Q - diag(kill_rates)))`` by uniformization.
 
@@ -179,12 +190,8 @@ def killed_semigroup(chain: FiniteKilledChain, t: float) -> KilledSemigroupMatri
     while mean > _UNIF_MEAN_CAP:
         mean *= 0.5
         n_sq += 1
-    a = chain.generator()
-    p_sub = np.eye(n) + a / lam
-    np.clip(p_sub, 0.0, None, out=p_sub)
-
     weights = _poisson_weights(mean)
-    s = _uniformization_sum(p_sub, weights, chain)
+    s = _uniformization_sum(_substep_kernel(chain, lam), weights, chain)
     for _ in range(n_sq):
         s = s @ s
         np.clip(s, 0.0, None, out=s)
@@ -282,33 +289,22 @@ def survival_curve(m: KilledSemigroupMatrix, eta0: np.ndarray, n: int) -> np.nda
 # primitivity and eigen-elements
 # ---------------------------------------------------------------------------
 
-def _support_graph(m: np.ndarray) -> sp.csr_matrix:
-    return sp.csr_matrix((m > 0.0).astype(np.int8))
-
-
 def _graph_period(adj: sp.csr_matrix) -> int:
-    """Period of a strongly connected directed graph (gcd of cycle lengths)."""
-    n = adj.shape[0]
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    frontier = [0]
-    indptr, indices = adj.indptr, adj.indices
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
+    """Period of a strongly connected directed graph (gcd of cycle lengths).
+
+    It is the gcd of ``level[u] + 1 - level[v]`` over all edges ``u -> v``,
+    with ``level`` the BFS distance from state 0.
+    """
+    level = shortest_path(adj, directed=True, unweighted=True,
+                          indices=0).astype(np.int64)
     coo = adj.tocoo()
     diffs = level[coo.row] + 1 - level[coo.col]
     g = int(np.gcd.reduce(np.abs(diffs))) if diffs.size else 0
     return g if g > 0 else 1
 
 
-def _communicating_classes(m: np.ndarray) -> list:
-    n_comp, assignment = connected_components(_support_graph(m), connection="strong")
+def _communicating_classes(adj: sp.csr_matrix) -> list:
+    n_comp, assignment = connected_components(adj, connection="strong")
     return [np.nonzero(assignment == c)[0] for c in range(n_comp)]
 
 
@@ -325,10 +321,10 @@ def perron_triplet(m: KilledSemigroupMatrix, tol: float = 1e-12,
     """
     mat = m.M
     n = m.n_states
-    classes = _communicating_classes(mat)
-    if len(classes) > 1:
-        return ReducibilityDiagnostic(classes=classes, period=0, n_states=n)
-    period = _graph_period(_support_graph(mat))
+    adj = sp.csr_matrix((mat > 0.0).astype(np.int8))
+    classes = _communicating_classes(adj)
+    # the period is defined for a single class; 0 marks several classes
+    period = _graph_period(adj) if len(classes) == 1 else 0
     if period != 1:
         return ReducibilityDiagnostic(classes=classes, period=period, n_states=n)
 
@@ -378,25 +374,25 @@ def _nonneg_null_vectors(mat: np.ndarray, rho: float, left: bool) -> list:
     return out
 
 
-def list_qsds(m: KilledSemigroupMatrix) -> list:
+def list_qsds(m: KilledSemigroupMatrix, trip=None) -> list:
     """All quasi-stationary distributions of a finite chain.
 
-    For a primitive chain this is the single dominant triplet.  For a
-    reducible chain, each communicating class contributes its local Perron
-    value; the class's QSD is the nonnegative left eigenvector of the full
-    matrix at that value, when one exists.  Components are sorted by
-    extinction rate (slowest first).
+    ``trip`` is ``perron_triplet(m)`` when the caller already has it; it is
+    computed here otherwise.  For a primitive chain the answer is the single
+    dominant triplet.  Otherwise each communicating class of the diagnostic
+    contributes its local Perron value; the class's QSD is the nonnegative
+    left eigenvector of the full matrix at that value, when one exists.
+    Components are sorted by extinction rate (slowest first).
     """
-    mat = m.M
-    classes = _communicating_classes(mat)
-    if len(classes) == 1:
+    if trip is None:
         trip = perron_triplet(m)
-        if isinstance(trip, EigenTriplet):
-            return [QsdComponent(theta=trip.theta, qsd=trip.gamma_left,
-                                 class_states=classes[0], h=trip.h)]
+    if isinstance(trip, EigenTriplet):
+        return [QsdComponent(theta=trip.theta, qsd=trip.gamma_left,
+                             class_states=np.arange(m.n_states), h=trip.h)]
+    mat = m.M
     comps = []
     seen = []
-    for cls in classes:
+    for cls in trip.classes:
         block = mat[np.ix_(cls, cls)]
         evals = np.linalg.eigvals(block)
         rho = float(np.max(evals.real))
@@ -452,16 +448,10 @@ def grid_generator(preset, n_grid: int, zero_atom: bool = False) -> FiniteKilled
         x = (np.arange(n_grid) + 1) * h
         rate = 0.5 / (h * h)
         q = np.zeros((n_grid, n_grid))
+        i = np.arange(n_grid - 1)
+        q[i, i + 1] = q[i + 1, i] = rate
         kill = np.zeros(n_grid)
-        for i in range(n_grid):
-            if i > 0:
-                q[i, i - 1] = rate
-            else:
-                kill[i] += rate
-            if i < n_grid - 1:
-                q[i, i + 1] = rate
-            else:
-                kill[i] += rate
+        kill[[0, -1]] = rate
         return FiniteKilledChain(q, kill, positions=x, geometry="interval",
                                  name="interval_brownian_grid")
     if isinstance(preset, TorusDiffusion):
@@ -473,14 +463,9 @@ def grid_generator(preset, n_grid: int, zero_atom: bool = False) -> FiniteKilled
         drift, kill = preset.families()
         b = drift.drift(x[:, None])[:, 0]
         q = np.zeros((n_grid, n_grid))
-        for i in range(n_grid):
-            up, dn = (i + 1) % n_grid, (i - 1) % n_grid
-            q[i, up] = rate
-            q[i, dn] = rate
-            if b[i] > 0:
-                q[i, up] += b[i] / h
-            elif b[i] < 0:
-                q[i, dn] += -b[i] / h
+        i = np.arange(n_grid)
+        q[i, (i + 1) % n_grid] = rate + np.maximum(b, 0.0) / h
+        q[i, (i - 1) % n_grid] = rate + np.maximum(-b, 0.0) / h
         return FiniteKilledChain(q, kill.rate(x[:, None]), positions=x,
                                  geometry="torus", name="torus_diffusion_grid")
     if isinstance(preset, HouseOfCard):

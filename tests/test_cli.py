@@ -96,6 +96,24 @@ def test_unknown_key_and_preset_and_params(tmp_path):
             **simulate, "model": {"name": name, "params": params},
             "fv": {**fv, "init": init, "max_resurrection_iters": 10}})
         assert main(["simulate", "--config", cfg]) == EXIT_BAD_CONFIG, (name, init)
+    # model parameters are checked against their preset's field types
+    for i, (name, params) in enumerate((
+            ("birth_death", {"b": 4.0, "d": 1.0, "b1": 1.0, "d1": 0.1,
+                             "truncation": 8.5}),
+            ("torus_diffusion", {"drift": math.nan}),
+            ("torus_diffusion", {"kill": math.nan}),
+            ("torus_diffusion", {"drift": ["sine", "0.75"]}))):
+        mode = "oracle" if name == "birth_death" else "simulate"
+        cfg = _write(tmp_path, f"params{i}.json", {
+            **simulate, "mode": mode, "model": {"name": name, "params": params},
+            "fv": {**fv, "max_resurrection_iters": 10}})
+        assert main([mode, "--config", cfg]) == EXIT_BAD_CONFIG, (name, params)
+    cfg = _write(tmp_path, "knob.json", {
+        "mode": "oracle", "model": {"name": "two_point",
+                                    "params": {"a": 1.0, "b": 2.0}},
+        "output_dir": str(tmp_path / "never"),
+        "oracle": {"conditional_iters": 5}})
+    assert main(["oracle", "--config", cfg]) == EXIT_BAD_CONFIG
     assert not (tmp_path / "never").exists()
 
 
