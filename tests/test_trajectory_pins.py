@@ -70,3 +70,18 @@ def test_pinned_trajectory(family):
     assert hashlib.sha256(rep.final_states.tobytes()).hexdigest() == final_sha
     desc = json.dumps(model.describe(), sort_keys=True).encode()
     assert hashlib.sha256(desc).hexdigest() == model_sha
+
+
+# sha256 of a3_failure.json written by ``qsdlab demo --name a3_failure`` at
+# the default seed; the demo drives both proposal-only models particle by
+# particle, so any change to the scalar proposals or their streams shows here
+A3_FAILURE_SHA = "ba3195db3d8f8b3d6f11275e298a9af01475ae5402a440c730f2c64410615960"
+
+
+def test_pinned_a3_failure_demo(tmp_path):
+    from qsdlab.cli import EXIT_OK, main
+
+    assert main(["demo", "--name", "a3_failure",
+                 "--output-dir", str(tmp_path)]) == EXIT_OK
+    blob = (tmp_path / "a3_failure.json").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == A3_FAILURE_SHA
