@@ -24,11 +24,12 @@ import math
 import os
 import pathlib
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import _kernels as _k
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import METRICS, ConfigError, ExperimentConfig, layout, load_config
 from .fv import FVConfig, run_fv, write_report
 from .harris import check_irreducibility, search_lyapunov_pair, verify_conclusion
 from .metrics import (
@@ -39,6 +40,7 @@ from .metrics import (
     w1_auto,
 )
 from .models import (
+    PRESETS,
     BirthDeath,
     GrowthFrag,
     HouseOfCard,
@@ -51,6 +53,7 @@ from .models import (
 )
 from .oracle import (
     EigenTriplet,
+    default_horizon,
     grid_generator,
     killed_semigroup,
     list_qsds,
@@ -66,35 +69,26 @@ EXIT_IO = 4
 
 CSV_SCHEMA = "qsdlab-sweep-csv v1"
 
-_EPILOG = """\
+_PRESET_FIELDS = "\n".join(f"  {name}({', '.join(f.name for f in fields(cls))})"
+                           for name, cls in PRESETS.items())
+
+_EPILOG = f"""\
 exit codes:
   0  success
   2  bad config: parse error, unknown key, unknown preset, invalid
-     parameters, empty sweep lists
+     parameters, empty sweep lists, --jobs other than 1 outside sweep
   3  runtime failure during simulation or analysis
   4  output directory cannot be created or written
 
 The default output root is $QSDLAB_OUTPUT_DIR, else ./qsdlab_out.
 
-config file layout (JSON, unknown keys rejected):
-  {
-    "mode": "simulate|oracle|harris|sweep",
-    "model": {"name": "<preset>", "params": {...}},
-    "seed": 1234,
-    "output_dir": "out",            # optional
-    "fv":     {"n_particles":..,"gamma":..,"n_steps":..,
-               "snapshot_stride":..,"max_resurrection_iters":..,"init":..},
-    "oracle": {"n_grid":..,"t0":..,"survival_steps":..},
-    "harris": {"t0":..,"family":"geometric","q1_grid":[..],"q2_grid":[..],
-               "k_fractions":[..],"n_max":..},
-    "sweep":  {"gammas":[..],"n_particles":[..],"horizons":[..],
-               "n_seeds":..,"burn_fraction":..,"n_grid":..,"oracle_t0":..},
-    "metrics": ["w1_timeavg","w1_instant","w1_pooled","theta_hat"]
-  }
+config file layout (a JSON object; a dotted key is a key of a nested object,
+such as "fv": {{"gamma": 0.01}}; unknown keys are rejected; an absent key
+takes its library default):
+{layout()}
 
-presets: two_point(a,b); house_of_card(c,q); birth_death(b,d,b1,d1,
-truncation); periodic_shift(); growth_frag(growth,frac,jump_rate,kill_rate);
-torus_diffusion(dim,drift,kill); interval_brownian()
+presets and their fields:
+{_PRESET_FIELDS}
 """
 
 
@@ -134,11 +128,13 @@ class _IOFailure(RuntimeError):
 _GRID_PRESETS = (HouseOfCard, TorusDiffusion, IntervalBrownian)
 
 
-def _chain_for(preset, oracle_cfg: dict):
+def _chain_for(preset, section: dict):
+    """The finite chain of ``preset``; a grid takes ``n_grid`` cells from the
+    config section."""
     if isinstance(preset, (TwoPoint, BirthDeath)):
         return preset.chain()
     if isinstance(preset, _GRID_PRESETS):
-        return grid_generator(preset, int(oracle_cfg.get("n_grid", 2000)))
+        return grid_generator(preset, section.get("n_grid", 2000))
     raise ConfigError(f"{type(preset).__name__} has no finite-chain oracle")
 
 
@@ -149,8 +145,7 @@ def _default_t0(preset, chain) -> float:
         return 0.25
     if isinstance(preset, HouseOfCard):
         return 1.0
-    lam = chain.uniformization_rate()
-    return 10.0 / lam if lam > 0 else 1.0
+    return default_horizon(chain)
 
 
 def _qsd_csv(path: pathlib.Path, chain, components) -> None:
@@ -205,7 +200,7 @@ def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path) -> None:
              "atom": c.atom, "atom_weight": c.atom_weight}
             for c in closed
         ]
-    n_surv = int(cfg.oracle.get("survival_steps", 50))
+    n_surv = cfg.oracle.get("survival_steps", 50)
     if comps:
         surv = survival_curve(m, comps[0].qsd, n_surv)
         payload["survival_from_qsd"] = [float(v) for v in surv]
@@ -222,16 +217,7 @@ def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path) -> None:
 def _run_harris(cfg: ExperimentConfig, out: pathlib.Path) -> None:
     preset = cfg.preset()
     chain = _chain_for(preset, cfg.oracle)
-    hc = cfg.harris
-    cert, m = search_lyapunov_pair(
-        chain,
-        family=hc.get("family", "geometric"),
-        t0=hc.get("t0"),
-        q1_grid=hc.get("q1_grid"),
-        q2_grid=hc.get("q2_grid"),
-        k_fractions=tuple(hc.get("k_fractions", (0.05, 0.1, 0.25, 0.5, 0.9))),
-        n_max=int(hc.get("n_max", 50)),
-    )
+    cert, m = search_lyapunov_pair(chain, **cfg.harris)
     payload = {"model": {"name": cfg.model_name, "params": cfg.model_params},
                "certificate": cert.as_dict()}
     eps, ok = check_irreducibility(chain, cert.K, cert.t0)
@@ -262,16 +248,11 @@ def _build_model(cfg: ExperimentConfig, gamma: float):
 
 
 def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path) -> None:
-    fvc = cfg.fv
-    model = _build_model(cfg, float(fvc["gamma"]))
-    config = FVConfig(n_particles=int(fvc["n_particles"]),
-                      n_steps=int(fvc["n_steps"]),
-                      seed=cfg.seed,
-                      gamma=float(fvc["gamma"]),
-                      snapshot_stride=int(fvc.get("snapshot_stride", 100)),
-                      max_resurrection_iters=int(
-                          fvc.get("max_resurrection_iters", 1_000_000)))
-    report = run_fv(model, config, init=fvc.get("init", "uniform"))
+    # the fv section holds FVConfig's fields and run_fv's init
+    fv = dict(cfg.fv, gamma=float(cfg.fv["gamma"]))
+    init = {"init": fv.pop("init")} if "init" in fv else {}
+    report = run_fv(_build_model(cfg, fv["gamma"]),
+                    FVConfig(seed=cfg.seed, **fv), **init)
     write_report(report, out)
 
 
@@ -281,9 +262,8 @@ def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path) -> None:
 
 def _oracle_measure(cfg: ExperimentConfig):
     preset = cfg.preset()
-    chain = _chain_for(preset, {"n_grid": cfg.sweep.get("n_grid", 2000)})
-    t0 = float(cfg.sweep.get("oracle_t0", _default_t0(preset, chain)))
-    m = killed_semigroup(chain, t0)
+    chain = _chain_for(preset, cfg.sweep)
+    m = killed_semigroup(chain, _default_t0(preset, chain))
     trip = perron_triplet(m)
     if not isinstance(trip, EigenTriplet):
         raise RuntimeError(f"sweep oracle needs a primitive chain: {trip}")
@@ -300,8 +280,7 @@ def _sweep_point(cfg, gamma, n_particles, horizons, seed, oracle_m, burn_frac):
     report = run_fv(model, FVConfig(n_particles=n_particles, n_steps=n_steps,
                                     seed=seed, snapshot_stride=stride))
     geometry = model.geometry
-    wanted = cfg.metrics or ["w1_timeavg", "w1_instant", "w1_pooled",
-                             "theta_hat"]
+    wanted = cfg.metrics or METRICS
     rows = []
     snaps = report.snapshots
     for t in horizons:
@@ -515,6 +494,9 @@ def main(argv=None) -> int:
             _DEMOS[args.name](out, args.seed)
             print(f"demo {args.name}: wrote {out}")
             return EXIT_OK
+        if args.jobs != 1 and (args.jobs < 1 or args.mode != "sweep"):
+            raise ConfigError(f"--jobs must be 1 for {args.mode} and at least "
+                              f"1 for sweep, got {args.jobs}")
         cfg = load_config(args.config)
         if cfg.mode != args.mode:
             raise ConfigError(f"config mode {cfg.mode!r} does not match "
@@ -530,7 +512,7 @@ def main(argv=None) -> int:
         elif args.mode == "harris":
             _run_harris(cfg, out)
         elif args.mode == "sweep":
-            _run_sweep(cfg, out, max(1, args.jobs))
+            _run_sweep(cfg, out, args.jobs)
         print(f"{args.mode}: wrote {out}")
         return EXIT_OK
     except ConfigError as exc:

@@ -1,7 +1,11 @@
 """Experiment configuration: a strict JSON schema.
 
-Unknown keys are rejected everywhere so that a config file cannot silently
-misspell a knob.  See ``qsdlab --help`` for the documented layout.
+``SCHEMA`` is the whole config layout.  Each section is one table mapping
+each key to its value check and a description: the keys a section accepts
+are its table's keys, and ``qsdlab --help`` prints the layout from the same
+tables.  Unknown keys are rejected everywhere so that a config file cannot
+silently misspell a knob.  Defaults are not part of the schema: an absent
+key takes the default of the library call the section is passed to.
 """
 
 from __future__ import annotations
@@ -13,20 +17,14 @@ from typing import Optional
 from .fv import check_runnable
 from .models import _is_number, build_preset
 
-__all__ = ["ExperimentConfig", "ConfigError", "load_config"]
+__all__ = ["ExperimentConfig", "ConfigError", "load_config", "layout"]
 
 MODES = ("simulate", "oracle", "harris", "sweep")
+METRICS = ("w1_timeavg", "w1_instant", "w1_pooled", "theta_hat")
 
 
 class ConfigError(ValueError):
     """The config file is malformed or inconsistent."""
-
-
-def _require_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
-                          f"allowed: {sorted(allowed)}")
 
 
 @dataclass
@@ -48,118 +46,143 @@ class ExperimentConfig:
         return build_preset(self.model_name, self.model_params)
 
 
-_TOP_KEYS = {"mode", "model", "seed", "output_dir", "fv", "oracle", "harris",
-             "sweep", "metrics"}
-_MODEL_KEYS = {"name", "params"}
-_FV_KEYS = {"n_particles", "gamma", "n_steps", "snapshot_stride",
-            "max_resurrection_iters", "init"}
-_ORACLE_KEYS = {"n_grid", "t0", "survival_steps"}
-_HARRIS_KEYS = {"t0", "family", "q1_grid", "q2_grid", "k_fractions", "n_max"}
-_SWEEP_KEYS = {"gammas", "n_particles", "horizons", "n_seeds", "burn_fraction",
-               "snapshot_stride", "n_grid", "oracle_t0"}
-
-
 # Value checks: (predicate, description).  JSON booleans are not numbers
 # here, strings are never coerced and counts must be integers.
 
 def _count(lo: int):
     return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo,
-            f"an integer >= {lo}")
+            f"integer >= {lo}")
 
 
 def _list_of(check):
     ok, what = check
-    return (lambda v: isinstance(v, list) and all(ok(x) for x in v),
-            f"a list, each entry {what}")
+    return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v)),
+            f"nonempty list of {what}")
 
 
-_NUMBERS = _list_of((_is_number, "a finite number"))
-_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
-_FRACTION = (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)")
-_SEED = _count(0)
+def _one_of(names):
+    return (lambda v: v in names, "one of " + ", ".join(names))
 
-_VALUES = {
-    "fv": {"n_particles": _count(1), "gamma": _POSITIVE, "n_steps": _count(0),
-           "snapshot_stride": _count(1), "max_resurrection_iters": _count(1)},
-    "oracle": {"n_grid": _count(16), "t0": _POSITIVE,
-               "survival_steps": _count(0)},
-    "harris": {"t0": _POSITIVE, "n_max": _count(1), "q1_grid": _NUMBERS,
-               "q2_grid": _NUMBERS, "k_fractions": _NUMBERS},
-    "sweep": {"gammas": _list_of(_POSITIVE), "n_particles": _list_of(_count(1)),
-              "horizons": _list_of(_POSITIVE), "n_seeds": _count(1),
-              "burn_fraction": _FRACTION, "snapshot_stride": _count(1),
-              "n_grid": _count(16), "oracle_t0": _POSITIVE},
+
+_INIT = (lambda v: v == "uniform" or (isinstance(v, list) and len(v) == 2
+                                       and v[0] == "dirac"),
+         '"uniform" or ["dirac", state]')
+_STRING = (lambda v: isinstance(v, str), "string")
+_OBJECT = (lambda v: isinstance(v, dict), "object")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "finite number > 0")
+_POSITIVES = _list_of(_POSITIVE)
+_FRACTION = (lambda v: _is_number(v) and 0 <= v < 1, "number in [0, 1)")
+_SHARE = (lambda v: _is_number(v) and 0 < v <= 1, "number in (0, 1]")
+
+# key -> (check, description), or key -> table for a nested object
+SCHEMA = {
+    "mode": (_one_of(MODES), "the command"),
+    "model": {
+        "name": (_STRING, "preset, one of those listed below"),
+        "params": (_OBJECT, "preset fields"),
+    },
+    "seed": (_count(0), "run seed"),
+    "output_dir": (_STRING, "output directory"),
+    "fv": {
+        "n_particles": (_count(1), "particles N"),
+        "gamma": (_POSITIVE, "step size"),
+        "n_steps": (_count(0), "steps to run"),
+        "snapshot_stride": (_count(1), "steps between stored snapshots"),
+        "max_resurrection_iters": (_count(1), "kills per particle-step "
+                                   "before the run fails"),
+        "init": (_INIT, "initial law"),
+    },
+    "oracle": {
+        "n_grid": (_count(16), "grid cells of a continuous preset"),
+        "t0": (_POSITIVE, "semigroup horizon"),
+        "survival_steps": (_count(1), "length of the survival curve"),
+    },
+    "harris": {
+        "t0": (_POSITIVE, "semigroup horizon"),
+        "q1_grid": (_POSITIVES, "bases q of V = q**n"),
+        "q2_grid": (_POSITIVES, "bases q of psi = q**n"),
+        "k_fractions": (_list_of(_SHARE),
+                        "small-set sizes, as shares of the states"),
+        "n_max": (_count(1), "comparability depth"),
+    },
+    "sweep": {
+        "gammas": (_POSITIVES, "step sizes"),
+        "n_particles": (_list_of(_count(1)), "particle counts"),
+        "horizons": (_POSITIVES, "metric times"),
+        "n_seeds": (_count(1), "seeds per (gamma, N)"),
+        "burn_fraction": (_FRACTION, "share of each horizon left out"),
+        "snapshot_stride": (_count(1), "steps between snapshots"),
+        "n_grid": (_count(16), "grid cells of the reference QSD"),
+    },
+    "metrics": (_list_of(_one_of(METRICS)), "sweep metrics, all if absent"),
 }
 
+_REQUIRED = {None: ("mode", "model", "model.name"),
+             "simulate": ("fv.n_particles", "fv.gamma", "fv.n_steps"),
+             "sweep": ("sweep.gammas", "sweep.n_particles", "sweep.horizons")}
 
-def _check_values(section: dict, where: str) -> None:
-    for key, (ok, what) in _VALUES[where].items():
-        if key in section and not ok(section[key]):
-            raise ConfigError(f"{where}.{key} must be {what}, got {section[key]!r}")
+
+def _flat(table: dict, prefix: str = ""):
+    """``(dotted key, spec)`` for every leaf of a schema table."""
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            yield from _flat(spec, f"{prefix}{key}.")
+        else:
+            yield prefix + key, spec
+
+
+def layout() -> str:
+    """The config layout for ``--help``: one line per accepted key."""
+    return "\n".join(f"  {key:<27}{doc} [{what}]"
+                     for key, ((_, what), doc) in _flat(SCHEMA))
+
+
+def _check(doc, table: dict, where: str = "") -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where or 'config root'} must be a JSON object")
+    unknown = set(doc) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in "
+                          f"{where or 'config root'}; allowed: {sorted(table)}")
+    for key, value in doc.items():
+        spec, name = table[key], f"{where}.{key}" if where else key
+        if isinstance(spec, dict):
+            _check(value, spec, name)
+        elif not spec[0][0](value):
+            raise ConfigError(f"{name} must be {spec[0][1]}, got {value!r}")
+
+
+def _has(doc: dict, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if part not in doc:
+            return False
+        doc = doc[part]
+    return True
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _require_keys(doc, _TOP_KEYS, "config root")
-    mode = doc.get("mode")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    model = doc.get("model")
-    if not isinstance(model, dict):
-        raise ConfigError("config needs a 'model' object")
-    _require_keys(model, _MODEL_KEYS, "model")
-    name = model.get("name")
-    if not isinstance(name, str):
-        raise ConfigError("model.name must be a string")
-    params = model.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("model.params must be an object")
-    seed = doc.get("seed", 0)
-    if not _SEED[0](seed):
-        raise ConfigError(f"seed must be {_SEED[1]}, got {seed!r}")
-
-    sections = {}
-    for where, allowed in (("fv", _FV_KEYS), ("oracle", _ORACLE_KEYS),
-                           ("harris", _HARRIS_KEYS), ("sweep", _SWEEP_KEYS)):
-        section = doc.get(where, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"{where} must be an object")
-        _require_keys(section, allowed, where)
-        _check_values(section, where)
-        sections[where] = section
-    metrics = doc.get("metrics", [])
-    if not isinstance(metrics, list):
-        raise ConfigError("metrics must be a list of names")
-
-    cfg = ExperimentConfig(mode=mode, model_name=name, model_params=params,
-                           seed=seed, output_dir=doc.get("output_dir"),
-                           metrics=metrics, **sections)
-    _validate_mode(cfg)
+    _check(doc, SCHEMA)
+    for key in _REQUIRED[None] + _REQUIRED.get(doc.get("mode"), ()):
+        if not _has(doc, key):
+            raise ConfigError(f"{doc.get('mode', 'every')} config needs {key}")
+    model = doc["model"]
+    cfg = ExperimentConfig(mode=doc["mode"], model_name=model["name"],
+                           model_params=model.get("params", {}),
+                           seed=doc.get("seed", 0),
+                           output_dir=doc.get("output_dir"),
+                           **{k: doc.get(k, {}) for k in ("fv", "oracle", "harris",
+                                                          "sweep")},
+                           metrics=doc.get("metrics", []))
     try:
         preset = cfg.preset()
-        if mode == "simulate":
+        if cfg.mode == "simulate":
             # build the model and check the engine runs it from the initial
             # law, so an unrunnable config fails before the first step
-            check_runnable(preset.model(float(cfg.fv["gamma"])),
-                           cfg.fv.get("init", "uniform"))
+            init = {"init": cfg.fv["init"]} if "init" in cfg.fv else {}
+            check_runnable(preset.model(float(cfg.fv["gamma"])), **init)
     except (KeyError, TypeError, ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
-
-
-def _validate_mode(cfg: ExperimentConfig) -> None:
-    if cfg.mode == "simulate":
-        for key in ("n_particles", "gamma", "n_steps"):
-            if key not in cfg.fv:
-                raise ConfigError(f"simulate mode requires fv.{key}")
-    if cfg.mode == "sweep":
-        gammas = cfg.sweep.get("gammas", [])
-        ns = cfg.sweep.get("n_particles", [])
-        horizons = cfg.sweep.get("horizons", [])
-        if not gammas or not ns or not horizons:
-            raise ConfigError("sweep mode requires nonempty sweep.gammas, "
-                              "sweep.n_particles and sweep.horizons")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -178,18 +178,10 @@ def init_states(model: KilledModel, n: int, seed: int, init="uniform") -> np.nda
 # the resampling kernel, one particle
 # ---------------------------------------------------------------------------
 
-def _sample_source(source, rng: Stream):
-    if isinstance(source, np.ndarray):
-        j = rng.pick(source.shape[0])
-        return source[j]
-    if hasattr(source, "sample"):
-        return source.sample(rng)
-    raise TypeError("source must be an array of atoms or expose .sample(rng)")
-
-
 def q_mu_step(model: KilledModel, x, source, rng: Stream,
               max_iters: int = 1_000_000):
-    """Propose from ``x``; on death, resurrect from ``source`` until survival.
+    """Propose from ``x``; on death, resurrect from a uniform pick among the
+    atoms of the array ``source`` until survival.
 
     Returns ``(state, deaths)`` where ``deaths`` counts every kill event
     including the initial one.  Raises :class:`ResurrectionOverflowError`
@@ -203,8 +195,7 @@ def q_mu_step(model: KilledModel, x, source, rng: Stream,
         deaths += 1
         if deaths > max_iters:
             raise ResurrectionOverflowError(max_iters)
-        y = _sample_source(source, rng)
-        prop = propose(model, y, rng)
+        prop = propose(model, source[rng.pick(source.shape[0])], rng)
         u = rng.u01()
     return prop, deaths
 

@@ -31,6 +31,7 @@ from .oracle import (
     KilledSemigroupMatrix,
     _poisson_weights,
     _substep_kernel,
+    default_horizon,
     killed_semigroup,
     perron_triplet,
 )
@@ -360,23 +361,20 @@ def _sublevel_sets(V: np.ndarray, fractions) -> list:
     return out
 
 
-def search_lyapunov_pair(chain: FiniteKilledChain, family: str = "geometric",
-                         t0: Optional[float] = None,
+def search_lyapunov_pair(chain: FiniteKilledChain, t0: Optional[float] = None,
                          q1_grid=None, q2_grid=None,
                          k_fractions=(0.05, 0.1, 0.25, 0.5, 0.9),
                          n_max: int = 50):
     """Grid search for a passing certificate with V, psi of the form q**n.
 
-    Maximizes the margin ``beta - alpha`` over all-pass candidates and
-    breaks ties by the smaller ``C``; when nothing passes, the candidate
-    with the most passing verdicts (then the largest margin) is returned so
-    the binding failure is visible.  Returns ``(certificate, matrix)``.
+    ``t0`` defaults to :func:`~qsdlab.oracle.default_horizon`.  Maximizes
+    the margin ``beta - alpha`` over all-pass candidates and breaks ties by
+    the smaller ``C``; when nothing passes, the candidate with the most
+    passing verdicts (then the largest margin) is returned so the binding
+    failure is visible.  Returns ``(certificate, matrix)``.
     """
-    if family not in ("geometric", "exponential"):
-        raise ValueError("family must be 'geometric' or 'exponential'")
-    lam = chain.uniformization_rate()
     if t0 is None:
-        t0 = 10.0 / lam if lam > 0 else 1.0
+        t0 = default_horizon(chain)
     m = killed_semigroup(chain, t0)
     n = chain.n_states
     idx = np.arange(n, dtype=float)
@@ -386,8 +384,6 @@ def search_lyapunov_pair(chain: FiniteKilledChain, family: str = "geometric",
         q2_grid = (0.5, 0.625, 0.75, 0.9, 1.0, 1.1, 1.3, 1.6)
 
     def build(q):
-        if family == "exponential":
-            return np.exp(q * idx)
         v = np.power(float(q), idx)
         return v / v.max()  # rescale against under/overflow; verdicts are scale-free
 

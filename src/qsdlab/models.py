@@ -12,7 +12,7 @@ time-discretization error in the jump part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -330,7 +330,6 @@ class KilledModel:
     drift: object = ZeroDrift()
     kill: object = NoKill()
     noise_scale: float = 1.0
-    gamma_max: Optional[float] = None
     # finite-chain payload
     chain: Optional[FiniteKilledChain] = None
     cum_rows: Optional[np.ndarray] = None
@@ -343,8 +342,6 @@ class KilledModel:
     def __post_init__(self):
         if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
             raise ValueError("gamma must be a positive real")
-        if self.gamma_max is not None and self.gamma > self.gamma_max:
-            raise ValueError(f"gamma={self.gamma} exceeds the model's gamma_max={self.gamma_max}")
         if self.kind not in _REPORT_TAGS:
             raise ValueError(f"unknown model kind {self.kind!r}; known: {sorted(_REPORT_TAGS)}")
 
@@ -733,7 +730,13 @@ def _house_theta_root(c: float, q: float) -> float:
                    epsabs=1e-10, epsrel=1e-10, limit=200, full_output=1)
         return out[0] - 1.0
 
-    return float(brentq(g, 0.0, 1.0 - 1e-12, xtol=1e-14, rtol=8.9e-16))
+    # g rises to +inf as theta -> 1, but quad can miss the spike near x = 0
+    # just below 1; bracket with the largest theta where g is seen positive
+    for k in range(12, 0, -1):
+        hi = 1.0 - 10.0 ** -k
+        if g(hi) > 0:
+            return float(brentq(g, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
+    raise ValueError(f"no extinction rate found for house_of_card c={c}, q={q}")
 
 
 def analytic_qsd(preset) -> tuple:

@@ -38,6 +38,7 @@ __all__ = [
     "ExtinctionUnderflowError",
     "UnsupportedModelError",
     "killed_semigroup",
+    "default_horizon",
     "conditional_law_step",
     "iterate_conditional",
     "perron_triplet",
@@ -65,10 +66,6 @@ class KilledSemigroupMatrix:
 
     M: np.ndarray
     t0: float
-    positions: Optional[np.ndarray] = None
-    geometry: str = "finite"
-    labels: Optional[tuple] = None
-    name: str = "chain"
 
     def __post_init__(self):
         self.M = np.asarray(self.M, dtype=float)
@@ -182,9 +179,7 @@ def killed_semigroup(chain: FiniteKilledChain, t: float) -> KilledSemigroupMatri
     n = chain.n_states
     lam = chain.uniformization_rate()
     if lam == 0.0:
-        return KilledSemigroupMatrix(np.eye(n), t, positions=chain.positions,
-                                     geometry=chain.geometry, labels=chain.labels,
-                                     name=chain.name)
+        return KilledSemigroupMatrix(np.eye(n), t)
     mean = lam * t
     n_sq = 0
     while mean > _UNIF_MEAN_CAP:
@@ -199,9 +194,13 @@ def killed_semigroup(chain: FiniteKilledChain, t: float) -> KilledSemigroupMatri
         bad = rows > 1.0
         if np.any(bad):
             s[bad] /= rows[bad, None]
-    return KilledSemigroupMatrix(s, t, positions=chain.positions,
-                                 geometry=chain.geometry, labels=chain.labels,
-                                 name=chain.name)
+    return KilledSemigroupMatrix(s, t)
+
+
+def default_horizon(chain: FiniteKilledChain) -> float:
+    """Ten mean jump times of the uniformized chain; 1 if it never jumps."""
+    lam = chain.uniformization_rate()
+    return 10.0 / lam if lam > 0 else 1.0
 
 
 def _uniformization_sum(p_sub: np.ndarray, weights: np.ndarray,

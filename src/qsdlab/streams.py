@@ -43,9 +43,6 @@ class Stream:
         self.counter += 2
         return z
 
-    def normals(self, n: int):
-        return [self.normal() for _ in range(n)]
-
     def pick(self, n: int) -> int:
         """Uniform index in ``range(n)``."""
         j = int(self.u01() * n)

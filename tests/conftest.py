@@ -1,9 +1,11 @@
+import functools
 import time
 
 import numpy as np
 import pytest
 
 import qsdlab as q
+from qsdlab.cli import main as cli_main
 from qsdlab.metrics import EmpiricalMeasure
 from qsdlab.oracle import grid_generator, killed_semigroup, perron_triplet
 
@@ -32,6 +34,21 @@ def house_oracle():
     trip = perron_triplet(m)
     assert trip.converged
     return chain, m, trip
+
+
+@pytest.fixture(scope="session")
+def noncommutation_demo(tmp_path_factory):
+    """``run()`` -> (exit code, output directory) of ``qsdlab demo --name
+    noncommutation`` at its default seed.  The demo takes about 100 s, so
+    the first call runs it and later calls in the session reuse its output."""
+
+    @functools.cache
+    def run():
+        out = tmp_path_factory.mktemp("noncommutation")
+        return cli_main(["demo", "--name", "noncommutation",
+                         "--output-dir", str(out)]), out
+
+    return run
 
 
 def random_chain(rng: np.random.Generator, n: int = 5,

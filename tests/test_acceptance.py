@@ -262,7 +262,7 @@ def test_c09_exponential_extinction_from_qsd():
             assert np.abs(resid).max() <= 1e-8
 
 
-def test_c10_counterexample_demos(tmp_path):
+def test_c10_counterexample_demos(noncommutation_demo):
     with CriterionTimer("C10 counterexample demos", 60.0):
         # a point mass pushed through the rotation stays a point mass, exactly
         model = q.PeriodicShift().model(0.05)
@@ -275,10 +275,10 @@ def test_c10_counterexample_demos(tmp_path):
             assert np.unique(states[:, 0]).size == 1
             assert states[0, 0] == single[0]
 
-        code = cli_main(["demo", "--name", "noncommutation",
-                         "--output-dir", str(tmp_path)])
+        # the demo runs here unless another test ran it earlier in the session
+        code, out = noncommutation_demo()
         assert code == 0
-        lines = (tmp_path / "noncommutation.csv").read_text().splitlines()
+        lines = (out / "noncommutation.csv").read_text().splitlines()
         assert lines[0] == "n_particles,steps,time,mean_transient_mass"
         table = {}
         for ln in lines[1:]:

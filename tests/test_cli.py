@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qsdlab.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_OK, main
+from qsdlab.config import ConfigError, parse_config
 
 
 def _write(tmp_path, name, doc):
@@ -114,6 +115,41 @@ def test_unknown_key_and_preset_and_params(tmp_path):
         "output_dir": str(tmp_path / "never"),
         "oracle": {"conditional_iters": 5}})
     assert main(["oracle", "--config", cfg]) == EXIT_BAD_CONFIG
+    # section values a library call would refuse, and the removed knobs
+    # harris.family and sweep.oracle_t0, are config errors
+    harris = {"mode": "harris",
+              "model": {"name": "birth_death",
+                        "params": {"b": 4.0, "d": 1.0, "b1": 1.0, "d1": 0.1,
+                                   "truncation": 20}},
+              "output_dir": str(tmp_path / "never")}
+    sweep = {"mode": "sweep",
+             "model": {"name": "torus_diffusion", "params": {"dim": 1}},
+             "output_dir": str(tmp_path / "never"),
+             "sweep": {"gammas": [0.05], "n_particles": [8],
+                       "horizons": [0.1], "n_grid": 32}}
+    for i, (mode, doc) in enumerate((
+            ("harris", {**harris, "harris": {"q1_grid": []}}),
+            ("harris", {**harris, "harris": {"k_fractions": []}}),
+            ("harris", {**harris, "harris": {"q2_grid": [-0.5]}}),
+            ("harris", {**harris, "harris": {"q1_grid": [0]}}),
+            ("harris", {**harris, "harris": {"family": "bogus"}}),
+            ("harris", {**harris, "harris": {"family": "geometric"}}),
+            ("oracle", {**harris, "mode": "oracle",
+                        "oracle": {"survival_steps": 0}}),
+            ("sweep", {**sweep, "metrics": ["w1_instnt"]}),
+            ("sweep", {**sweep, "sweep": {**sweep["sweep"], "oracle_t0": 1.0}}))):
+        cfg = _write(tmp_path, f"section{i}.json", doc)
+        assert main([mode, "--config", cfg]) == EXIT_BAD_CONFIG, doc
+    # --jobs is at least 1, and only sweep runs more than one job
+    cfg = _write(tmp_path, "jobs_sweep.json", sweep)
+    assert main(["sweep", "--config", cfg, "--jobs", "0"]) == EXIT_BAD_CONFIG
+    for mode, doc in (("simulate", {**simulate, "fv": fv}),
+                      ("oracle", {**harris, "mode": "oracle"}),
+                      ("harris", harris)):
+        cfg = _write(tmp_path, f"jobs_{mode}.json", doc)
+        for jobs in ("0", "4"):
+            assert main([mode, "--config", cfg, "--jobs", jobs]) == \
+                EXIT_BAD_CONFIG, (mode, jobs)
     assert not (tmp_path / "never").exists()
 
 
@@ -273,10 +309,10 @@ def test_harris_mode_emits_certificate(tmp_path):
     assert doc["irreducibility"]["pass"] is True
 
 
-def test_demo_noncommutation_emits_ordering_table(tmp_path):
-    assert main(["demo", "--name", "noncommutation",
-                 "--output-dir", str(tmp_path)]) == EXIT_OK
-    lines = (tmp_path / "noncommutation.csv").read_text().splitlines()
+def test_demo_noncommutation_emits_ordering_table(noncommutation_demo):
+    code, out = noncommutation_demo()
+    assert code == EXIT_OK
+    lines = (out / "noncommutation.csv").read_text().splitlines()
     assert lines[0] == "n_particles,steps,time,mean_transient_mass"
     rows = [ln.split(",") for ln in lines[1:]]
     assert len(rows) == 9
@@ -304,3 +340,35 @@ def test_console_entry_point_help():
     assert "exit codes" in proc.stdout
     for mode in ("simulate", "oracle", "harris", "sweep", "demo"):
         assert mode in proc.stdout
+
+
+def test_help_lists_exactly_the_accepted_keys(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = capsys.readouterr().out
+    layout = text.split("config file layout")[1].split("\n\n")[0]
+    listed = [ln.split()[0] for ln in layout.splitlines() if ln.startswith("  ")]
+    assert listed == [
+        "mode", "model.name", "model.params", "seed", "output_dir",
+        "fv.n_particles", "fv.gamma", "fv.n_steps", "fv.snapshot_stride",
+        "fv.max_resurrection_iters", "fv.init",
+        "oracle.n_grid", "oracle.t0", "oracle.survival_steps",
+        "harris.t0", "harris.q1_grid", "harris.q2_grid", "harris.k_fractions",
+        "harris.n_max",
+        "sweep.gammas", "sweep.n_particles", "sweep.horizons", "sweep.n_seeds",
+        "sweep.burn_fraction", "sweep.snapshot_stride", "sweep.n_grid",
+        "metrics"]
+    # every listed key is accepted, and a key next to them is not
+    for dotted in listed + ["fv.bogus", "bogus"]:
+        *outer, key = dotted.split(".")
+        doc = {"mode": "oracle", "model": {"name": "two_point"}}
+        section = doc
+        for part in outer:
+            section = section.setdefault(part, {})
+        section.setdefault(key, None)
+        try:
+            parse_config(doc)
+        except ConfigError as exc:
+            assert ("unknown key" in str(exc)) == ("bogus" in dotted), exc
+        else:
+            assert "bogus" not in dotted

@@ -153,11 +153,20 @@ def test_two_point_closed_forms():
 
 
 def test_house_of_card_theta_closed_form():
-    (qsd,) = analytic_qsd(q.HouseOfCard(1.0, 1.0))
-    expect = (math.e - 2.0) / (math.e - 1.0)
-    assert abs(qsd.theta - expect) < 1e-10
-    assert abs(qsd.theta - 0.41802) < 1e-3
-    assert abs(qsd.density_mass() - 1.0) < 1e-8
+    cases = [
+        (1.0, 1.0, (math.e - 2.0) / (math.e - 1.0), 1e-10),
+        # the density spikes near x = 0 as theta -> 1, and a single quad at
+        # theta = 1 - 1e-12 misses the spike; values from the n_grid 2000
+        # oracle
+        (2.0, 1.5, 0.5210177, 1e-7),
+        (1.0, 2.0, 0.2598261, 1e-7),
+    ]
+    for c, qexp, expect, tol in cases:
+        (qsd,) = analytic_qsd(q.HouseOfCard(c, qexp))
+        assert qsd.regime == "unique_bounded"
+        assert abs(qsd.theta - expect) < tol
+        assert abs(qsd.density_mass() - 1.0) < 1e-8
+    assert abs(analytic_qsd(q.HouseOfCard(1.0, 1.0))[0].theta - 0.41802) < 1e-3
 
 
 def test_house_of_card_regimes():
