@@ -29,7 +29,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import _kernels as _k
-from .config import METRICS, ConfigError, ExperimentConfig, layout, load_config
+from .config import METRICS, MODES, ConfigError, ExperimentConfig, layout, load_config
 from .fv import FVConfig, run_fv, write_report
 from .harris import check_irreducibility, search_lyapunov_pair, verify_conclusion
 from .metrics import (
@@ -470,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="mode", required=True)
-    for mode in ("simulate", "oracle", "harris", "sweep"):
+    for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", required=True)
         p.add_argument("--jobs", type=int, default=1)
