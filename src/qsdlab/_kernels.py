@@ -1,10 +1,11 @@
 """Numeric kernels of the particle engine: counter-based draws and one step.
 
 One vectorized numpy loop (``_resample``) advances every particle by
-propose / kill / resurrect; the three step kernels supply its proposal for
+propose / kill / resurrect; the four step kernels supply its proposal for
 each dynamics kind: Gaussian moves (``step_gauss``), uniform redraws
-(``step_redraw``) and uniformized finite chains (``step_finite``).  Drift
-and kill enter as family objects with a vectorized ``drift(x)`` and
+(``step_redraw``), uniformized finite chains (``step_finite``) and
+growth with multiplicative down-jumps (``step_growth_frag``).  Drift and
+kill enter as family objects with a vectorized ``drift(x)`` and
 ``prob(x, gamma)`` on an ``(n, d)`` array (see ``qsdlab.models``).
 
 Randomness is counter-based: every draw is a 64-bit hash of
@@ -27,6 +28,7 @@ __all__ = [
     "step_gauss",
     "step_redraw",
     "step_finite",
+    "step_growth_frag",
     "ResurrectionOverflowError",
 ]
 
@@ -251,11 +253,29 @@ def step_finite(states, src, seed, sid, max_iters, *, cum_rows, p_kill,
             need = np.nonzero(njumps > 0)[0]
             uj = _u01_np(keys[need], ctrs[need])
             ctrs[need] += _ONE_U
-            for t in range(need.size):
-                v = int(np.searchsorted(cum_rows[x[need[t]]], uj[t], side="right"))
-                x[need[t]] = min(v, n_states - 1)
+            # entries <= u of a nondecreasing row: searchsorted(side="right")
+            v = np.count_nonzero(cum_rows[x[need]] <= uj[:, None], axis=1)
+            x[need] = np.minimum(v, n_states - 1)
             njumps[need] -= 1
         return x
 
     return _resample(states, src, seed, sid, max_iters, propose,
                      lambda x: p_kill[x])
+
+
+def step_growth_frag(states, src, seed, sid, max_iters, *, gamma, growth,
+                     frac, jump_rate, kill):
+    """``x' = x*exp(gamma*growth)``, times ``frac`` with probability
+    ``1 - exp(-gamma*jump_rate)``: a flow, then a jump at the end of the step."""
+    g = math.exp(gamma * growth)
+    p_jump = 1.0 - math.exp(-gamma * jump_rate)
+
+    def propose(y, keys, ctrs):
+        x = y * g
+        jumped = _u01_np(keys, ctrs) < p_jump
+        ctrs += _ONE_U
+        x[jumped] *= frac
+        return x
+
+    return _resample(states, src, seed, sid, max_iters, propose,
+                     lambda x: kill.prob(x, gamma))

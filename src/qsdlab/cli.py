@@ -31,7 +31,12 @@ import numpy as np
 from . import _kernels as _k
 from .config import METRICS, MODES, ConfigError, ExperimentConfig, layout, load_config
 from .fv import FVConfig, run_fv, write_report
-from .harris import check_irreducibility, search_lyapunov_pair, verify_conclusion
+from .harris import (
+    LyapunovBaseError,
+    check_irreducibility,
+    search_lyapunov_pair,
+    verify_conclusion,
+)
 from .metrics import (
     EmpiricalMeasure,
     estimate_theta,
@@ -49,10 +54,10 @@ from .models import (
     TorusDiffusion,
     TwoPoint,
     analytic_qsd,
-    propose,
 )
 from .oracle import (
     EigenTriplet,
+    UnsupportedModelError,
     default_horizon,
     grid_generator,
     killed_semigroup,
@@ -60,7 +65,6 @@ from .oracle import (
     perron_triplet,
     survival_curve,
 )
-from .streams import substream
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -262,6 +266,10 @@ def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path) -> None:
 
 def _oracle_measure(cfg: ExperimentConfig):
     preset = cfg.preset()
+    if not isinstance(preset, _GRID_PRESETS):
+        # particle positions are compared with the grid cells' positions
+        raise ConfigError(f"sweep needs a continuous preset with a grid "
+                          f"oracle, and {cfg.model_name} has none")
     chain = _chain_for(preset, cfg.sweep)
     m = killed_semigroup(chain, _default_t0(preset, chain))
     trip = perron_triplet(m)
@@ -442,15 +450,13 @@ def _demo_a3_failure(out: pathlib.Path, seed: int) -> None:
     shift = PeriodicShift().model(0.05)
     gf = GrowthFrag(growth=1.0, frac=0.5, jump_rate=1.0).model(0.05)
     results = {}
-    for name, model, x0 in (("periodic_shift", shift, np.array([0.25])),
-                            ("growth_frag", gf, np.array([1.0]))):
-        states = np.tile(x0, (n_particles, 1))
-        counts = []
-        for step in range(1, n_steps + 1):
-            for i in range(n_particles):
-                rng = substream(seed, step, i)
-                states[i] = propose(model, states[i], rng)
-            counts.append(int(np.unique(np.round(states[:, 0], 12)).size))
+    for name, model, x0 in (("periodic_shift", shift, 0.25),
+                            ("growth_frag", gf, 1.0)):
+        rep = run_fv(model, FVConfig(n_particles=n_particles, n_steps=n_steps,
+                                     seed=seed, snapshot_stride=1),
+                     init=("dirac", x0))
+        counts = [int(np.unique(np.round(arr[:, 0], 12)).size)
+                  for _, arr in rep.snapshots[1:]]
         results[name] = {"distinct_support_per_step": counts,
                          "bound": [s + 1 for s in range(1, n_steps + 1)]}
     _json_dump(results, out / "a3_failure.json")
@@ -515,7 +521,9 @@ def main(argv=None) -> int:
             _run_sweep(cfg, out, args.jobs)
         print(f"{args.mode}: wrote {out}")
         return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedModelError, LyapunovBaseError) as exc:
+        # also a preset the oracle has no grid for, or a Harris base whose
+        # q**n the chain cannot represent
         print(f"qsdlab: bad config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except _IOFailure as exc:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .fv import check_runnable
+from .fv import init_states
 from .models import _is_number, build_preset
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "layout"]
@@ -176,11 +176,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     try:
         preset = cfg.preset()
         if cfg.mode == "simulate":
-            # build the model and check the engine runs it from the initial
-            # law, so an unrunnable config fails before the first step
+            # build the model and draw one particle from the initial law, so
+            # an init outside the live space fails before the first step
             init = {"init": cfg.fv["init"]} if "init" in cfg.fv else {}
-            check_runnable(preset.model(float(cfg.fv["gamma"])), **init)
-    except (KeyError, TypeError, ValueError, NotImplementedError) as exc:
+            init_states(preset.model(float(cfg.fv["gamma"])), 1, 0, **init)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 

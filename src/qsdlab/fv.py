@@ -34,7 +34,6 @@ __all__ = [
     "fv_step_reference",
     "run_fv",
     "init_states",
-    "check_runnable",
     "write_report",
 ]
 
@@ -160,18 +159,14 @@ def init_states(model: KilledModel, n: int, seed: int, init="uniform") -> np.nda
         return np.repeat(arr, n, axis=0)
     if not (isinstance(init, str) and init == "uniform"):
         raise ValueError(f"unknown init spec: {init!r}")
+    # particle i reads counters 0, 1, ... of the stream (seed, _INIT_STREAM, i)
+    keys = _k.derive_keys_np(seed, _INIT_STREAM, np.arange(n, dtype=np.uint64))
     if model.kind == "finite":
-        out = np.empty(n, dtype=np.int64)
         n_states = model.chain.n_states
-        for i in range(n):
-            out[i] = substream(seed, _INIT_STREAM, i).pick(n_states)
-        return out
-    out = np.empty((n, model.dim))
-    for i in range(n):
-        rng = substream(seed, _INIT_STREAM, i)
-        for kdim in range(model.dim):
-            out[i, kdim] = rng.u01()
-    return out
+        u = _k._u01_np(keys, np.zeros(n, dtype=np.uint64))
+        return np.minimum((u * n_states).astype(np.int64), n_states - 1)
+    return np.stack([_k._u01_np(keys, np.full(n, k, dtype=np.uint64))
+                     for k in range(model.dim)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +252,10 @@ def _kernel(model: KilledModel):
         p_kill = model.kill.prob(np.arange(model.chain.n_states), model.gamma)
         return partial(_k.step_finite, cum_rows=model.cum_rows, p_kill=p_kill,
                        unif_mean=model.unif_rate * model.gamma)
-    raise NotImplementedError(
-        f"the particle engine does not support model kind {model.kind!r}")
-
-
-def check_runnable(model: KilledModel, init="uniform") -> None:
-    """Fail before any step if the engine cannot run ``model`` from a
-    ``"uniform"`` or Dirac ``init``: NotImplementedError for a kind without
-    a kernel, ValueError for an init outside the live state space."""
-    _kernel(model)
-    init_states(model, 1, 0, init)
+    # "growth_frag", the last kind KilledModel accepts
+    return partial(_k.step_growth_frag, gamma=model.gamma, growth=model.gf_growth,
+                   frac=model.gf_frac, jump_rate=model.gf_jump_rate,
+                   kill=model.kill)
 
 
 def _run_chunk(model: KilledModel, states: np.ndarray, seed: int, sid0: int,

@@ -37,6 +37,7 @@ from .oracle import (
 )
 
 __all__ = [
+    "LyapunovBaseError",
     "HarrisCertificate",
     "ConclusionReport",
     "check_assumptions",
@@ -50,6 +51,10 @@ A_DRIFT = "lyapunov_drift"
 A_MASS = "mass_lower_bound"
 A_MINOR = "minorization"
 A_COMPARE = "survival_comparability"
+
+
+class LyapunovBaseError(ValueError):
+    """A base q of ``V`` or ``psi = q**n`` over- or underflows on the chain."""
 
 
 @dataclass
@@ -371,11 +376,10 @@ def search_lyapunov_pair(chain: FiniteKilledChain, t0: Optional[float] = None,
     the margin ``beta - alpha`` over all-pass candidates and breaks ties by
     the smaller ``C``; when nothing passes, the candidate with the most
     passing verdicts (then the largest margin) is returned so the binding
-    failure is visible.  Returns ``(certificate, matrix)``.
+    failure is visible.  Returns ``(certificate, matrix)``.  Raises
+    :class:`LyapunovBaseError` before any matrix work when some base's
+    ``q**n`` cannot be represented on the chain.
     """
-    if t0 is None:
-        t0 = default_horizon(chain)
-    m = killed_semigroup(chain, t0)
     n = chain.n_states
     idx = np.arange(n, dtype=float)
     if q1_grid is None:
@@ -384,16 +388,24 @@ def search_lyapunov_pair(chain: FiniteKilledChain, t0: Optional[float] = None,
         q2_grid = (0.5, 0.625, 0.75, 0.9, 1.0, 1.1, 1.3, 1.6)
 
     def build(q):
-        v = np.power(float(q), idx)
-        return v / v.max()  # rescale against under/overflow; verdicts are scale-free
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.power(float(q), idx)
+            v = v / v.max()  # rescale against under/overflow; verdicts are scale-free
+        if not np.all(v > 0):
+            raise LyapunovBaseError(f"base q={q!r}: q**n over- or underflows "
+                                    f"on the {n} states of the chain")
+        return v
 
+    Vs = [build(q1) for q1 in q1_grid]
+    psis = [build(q2) for q2 in q2_grid]
+    if t0 is None:
+        t0 = default_horizon(chain)
+    m = killed_semigroup(chain, t0)
     best = None
     best_key = None
-    for q1 in q1_grid:
-        V = build(q1)
+    for V in Vs:
         for k_idx in _sublevel_sets(V, k_fractions):
-            for q2 in q2_grid:
-                psi = build(q2)
+            for psi in psis:
                 cert = check_assumptions(m, V, psi, k_idx, n_max=n_max)
                 n_pass = sum(v.passed for v in cert.verdicts.values())
                 key = (n_pass == 4, n_pass, cert.margin, -cert.C)

@@ -317,9 +317,10 @@ class KilledModel:
     sqrt(gamma)*noise_scale*xi``, wrapped on the torus), ``"redraw"``
     (Uniform(0, 1) with probability ``1 - exp(-gamma)``, else stay),
     ``"finite"`` (the uniformized jump chain of ``chain``) or
-    ``"growth_frag"`` (proposals only; the engine has no kernel for it).
-    ``drift`` and ``kill`` are family objects; the kill acts at the
-    proposed point.
+    ``"growth_frag"`` (``x*exp(gamma*gf_growth)``, times ``gf_frac`` with
+    probability ``1 - exp(-gamma*gf_jump_rate)``).  The engine has one step
+    kernel per kind.  ``drift`` and ``kill`` are family objects; the kill
+    acts at the proposed point.
     """
 
     name: str

@@ -186,7 +186,7 @@ def killed_semigroup(chain: FiniteKilledChain, t: float) -> KilledSemigroupMatri
         mean *= 0.5
         n_sq += 1
     weights = _poisson_weights(mean)
-    s = _uniformization_sum(_substep_kernel(chain, lam), weights, chain)
+    s = _uniformization_sum(_substep_kernel(chain, lam), weights)
     for _ in range(n_sq):
         s = s @ s
         np.clip(s, 0.0, None, out=s)
@@ -203,8 +203,7 @@ def default_horizon(chain: FiniteKilledChain) -> float:
     return 10.0 / lam if lam > 0 else 1.0
 
 
-def _uniformization_sum(p_sub: np.ndarray, weights: np.ndarray,
-                        chain: FiniteKilledChain) -> np.ndarray:
+def _uniformization_sum(p_sub: np.ndarray, weights: np.ndarray) -> np.ndarray:
     n = p_sub.shape[0]
     # redraw-type rows make P = diag + 1 u^T (off-diagonal entries constant
     # within each column), which multiplies in O(n^2)
@@ -455,7 +454,8 @@ def grid_generator(preset, n_grid: int, zero_atom: bool = False) -> FiniteKilled
                                  name="interval_brownian_grid")
     if isinstance(preset, TorusDiffusion):
         if preset.dim != 1:
-            raise UnsupportedModelError("grid discretization is one dimensional")
+            raise UnsupportedModelError("the torus_diffusion grid is one "
+                                        f"dimensional, got dim={preset.dim}")
         h = 1.0 / n_grid
         x = np.arange(n_grid) * h
         rate = 0.5 / (h * h)

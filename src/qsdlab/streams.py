@@ -62,10 +62,6 @@ class Stream:
                 return k
             k += 1
 
-    def spawn(self, tag: int) -> "Stream":
-        """Independent child stream; deterministic in (key, tag)."""
-        return Stream(_k.derive_key(self.key, tag, 0))
-
 
 def substream(seed: int, stream_id: int, particle: int = 0) -> Stream:
     """Stream addressed by (seed, stream id, particle id)."""

@@ -84,10 +84,14 @@ def test_unknown_key_and_preset_and_params(tmp_path):
         "output_dir": str(tmp_path / "never"),
         "sweep": {"gammas": ["0.01"], "n_particles": [8], "horizons": [0.1]}})
     assert main(["sweep", "--config", cfg]) == EXIT_BAD_CONFIG
-    # models the engine cannot run, and initial states outside the live
-    # space, fail before the first step instead of failing or spinning in it
+    # growth_frag runs on the particle engine like every other preset
+    cfg = _write(tmp_path, "growth_frag.json", {
+        **simulate, "model": {"name": "growth_frag", "params": {}}, "fv": fv,
+        "output_dir": str(tmp_path / "growth_frag")})
+    assert main(["simulate", "--config", cfg]) == EXIT_OK
+    # initial states outside the live space fail before the first step
+    # instead of failing or spinning in it
     for i, (name, params, init) in enumerate((
-            ("growth_frag", {}, "uniform"),
             ("two_point", {"a": 1.0, "b": 2.0}, ["dirac", 5]),
             ("two_point", {"a": 1.0, "b": 2.0}, ["dirac", 0.5]),
             ("interval_brownian", {}, ["dirac", 2.0]),
@@ -139,6 +143,25 @@ def test_unknown_key_and_preset_and_params(tmp_path):
             ("sweep", {**sweep, "metrics": ["w1_instnt"]}),
             ("sweep", {**sweep, "sweep": {**sweep["sweep"], "oracle_t0": 1.0}}))):
         cfg = _write(tmp_path, f"section{i}.json", doc)
+        assert main([mode, "--config", cfg]) == EXIT_BAD_CONFIG, doc
+    # a preset an oracle-backed mode cannot use, and a Harris base whose
+    # q**n over- or underflows on the chain, are config errors too; they are
+    # found after the output directory is made
+    bd400 = {**harris["model"],
+             "params": {**harris["model"]["params"], "truncation": 400}}
+    torus2 = {"name": "torus_diffusion", "params": {"dim": 2}}
+    for i, (mode, doc) in enumerate((
+            ("harris", {**harris, "model": bd400, "harris": {"q1_grid": [0.01]}}),
+            ("harris", {**harris, "model": bd400, "harris": {"q1_grid": [10]}}),
+            ("harris", {**harris, "model": bd400, "harris": {"q2_grid": [0.01]}}),
+            ("oracle", {**harris, "mode": "oracle", "model": torus2}),
+            ("harris", {**harris, "model": torus2}),
+            ("sweep", {**sweep, "model": torus2}),
+            ("sweep", {**sweep, "model": harris["model"]}),
+            ("sweep", {**sweep, "model": {"name": "two_point",
+                                          "params": {"a": 1.0, "b": 2.0}}}))):
+        cfg = _write(tmp_path, f"refused{i}.json",
+                     {**doc, "output_dir": str(tmp_path / "refused")})
         assert main([mode, "--config", cfg]) == EXIT_BAD_CONFIG, doc
     # --jobs is at least 1, and only sweep runs more than one job
     cfg = _write(tmp_path, "jobs_sweep.json", sweep)

@@ -171,7 +171,10 @@ def test_kernel_matches_reference_step():
         (q.IntervalBrownian().model(0.02), "hard"),
         (q.HouseOfCard(1.0, 1.0).model(0.3), "redraw"),
         (q.TwoPoint(1.0, 2.0).model(0.4), "finite"),
+        (q.BirthDeath(1.0, 2.0, 1.0, 0.5, truncation=20).model(0.8), "finite_20"),
         (q.TorusDiffusion(dim=2, kill=0.8).model(0.05), "gauss_d2"),
+        (q.GrowthFrag(growth=1.0, frac=0.5, jump_rate=2.0,
+                      kill_rate=1.5).model(0.1), "growth_frag"),
     ]
     for model, tag in cases:
         states = init_states(model, 200, 11)
@@ -182,6 +185,8 @@ def test_kernel_matches_reference_step():
                                    ref.astype(float), rtol=1e-12,
                                    atol=1e-13, err_msg=tag)
         assert out.deaths_this_step == deaths, tag
+        if tag == "growth_frag":
+            assert deaths > 0  # the resurrection path is compared too
 
 
 def test_permuting_labels_and_streams_commutes():
@@ -331,12 +336,6 @@ def test_config_validation():
         FVConfig(n_particles=1, n_steps=-1, seed=0)
     with pytest.raises(ValueError):
         FVConfig(n_particles=1, n_steps=1, seed=0, snapshot_stride=0)
-
-
-def test_engine_rejects_growth_frag():
-    model = q.GrowthFrag().model(0.1)
-    with pytest.raises(NotImplementedError):
-        run_fv(model, FVConfig(n_particles=4, n_steps=1, seed=0))
 
 
 def test_dirac_and_array_inits():

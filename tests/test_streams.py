@@ -78,10 +78,3 @@ def test_vectorized_draws_match_scalar():
     vecn = k._normal_np(keys, ctrs)
     scan = np.array([k._normal_py(int(keys[i]), int(ctrs[i])) for i in range(16)])
     np.testing.assert_allclose(vecn, scan, rtol=1e-12, atol=1e-14)
-
-
-def test_spawn_is_deterministic():
-    a = substream(1, 2, 3).spawn(9)
-    b = substream(1, 2, 3).spawn(9)
-    assert a.key == b.key
-    assert a.u01() == b.u01()
