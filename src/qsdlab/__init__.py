@@ -6,7 +6,7 @@ Harris-type drift/minorization conditions numerically.
 """
 
 from ._kernels import ResurrectionOverflowError
-from .fv import FVConfig, FVReport, ParticleEnsemble, fv_step, q_mu_step, run_fv
+from .fv import FVConfig, FVReport, q_mu_step, run_fv
 from .metrics import (
     EmpiricalMeasure,
     estimate_theta,
@@ -19,11 +19,14 @@ from .metrics import (
 )
 from .models import (
     BirthDeath,
+    ChainMove,
     ConstDrift,
     ConstKill,
     CosineKill,
     FiniteKilledChain,
+    GaussMove,
     GrowthFrag,
+    GrowthFragMove,
     HouseOfCard,
     IntervalBrownian,
     IntervalKill,
@@ -31,6 +34,7 @@ from .models import (
     NoKill,
     PeriodicShift,
     PowerKill,
+    RedrawMove,
     SineDrift,
     StateKill,
     TorusDiffusion,

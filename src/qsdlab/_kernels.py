@@ -4,9 +4,11 @@ One vectorized numpy loop (``_resample``) advances every particle by
 propose / kill / resurrect; the four step kernels supply its proposal for
 each dynamics kind: Gaussian moves (``step_gauss``), uniform redraws
 (``step_redraw``), uniformized finite chains (``step_finite``) and
-growth with multiplicative down-jumps (``step_growth_frag``).  Drift and
-kill enter as family objects with a vectorized ``drift(x)`` and
-``prob(x, gamma)`` on an ``(n, d)`` array (see ``qsdlab.models``).
+growth with multiplicative down-jumps (``step_growth_frag``).  Each kernel
+is bound to a model by its move object in ``qsdlab.models`` (``GaussMove``,
+``RedrawMove``, ``ChainMove``, ``GrowthFragMove``), whose ``propose`` is the
+scalar reference of the same draws.  Drift and kill enter as family objects
+with a vectorized ``drift(x)`` and ``prob(x, gamma)`` on an ``(n, d)`` array.
 
 Randomness is counter-based: every draw is a 64-bit hash of
 ``(seed, step, particle, counter)``, so a run is reproducible from

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
@@ -111,7 +112,9 @@ def _out_dir(cfg: ExperimentConfig, cli_out=None) -> pathlib.Path:
     return pathlib.Path(root)
 
 
-def _prepare_dir(path: pathlib.Path) -> None:
+def _prepare_dir(path: pathlib.Path) -> bool:
+    """Make ``path`` writable; returns whether this call created it."""
+    created = not path.exists()
     try:
         path.mkdir(parents=True, exist_ok=True)
         probe = path / ".write_probe"
@@ -119,6 +122,7 @@ def _prepare_dir(path: pathlib.Path) -> None:
         probe.unlink()
     except OSError as exc:
         raise _IOFailure(f"output directory {path} is not writable: {exc}") from exc
+    return created
 
 
 class _IOFailure(RuntimeError):
@@ -252,11 +256,12 @@ def _build_model(cfg: ExperimentConfig, gamma: float):
 
 
 def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path) -> None:
-    # the fv section holds FVConfig's fields and run_fv's init
-    fv = dict(cfg.fv, gamma=float(cfg.fv["gamma"]))
+    # the fv section holds the model's gamma, FVConfig's fields and run_fv's
+    # init
+    fv = dict(cfg.fv)
+    model = _build_model(cfg, float(fv.pop("gamma")))
     init = {"init": fv.pop("init")} if "init" in fv else {}
-    report = run_fv(_build_model(cfg, fv["gamma"]),
-                    FVConfig(seed=cfg.seed, **fv), **init)
+    report = run_fv(model, FVConfig(seed=cfg.seed, **fv), **init)
     write_report(report, out)
 
 
@@ -491,6 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    made = None  # the output directory, if this call created it
     try:
         if args.mode == "demo":
             out = pathlib.Path(args.output_dir
@@ -510,7 +516,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         out = _out_dir(cfg, args.output_dir)
-        _prepare_dir(out)
+        made = out if _prepare_dir(out) else None
         if args.mode == "simulate":
             _run_simulate(cfg, out)
         elif args.mode == "oracle":
@@ -525,6 +531,9 @@ def main(argv=None) -> int:
         # also a preset the oracle has no grid for, or a Harris base whose
         # q**n the chain cannot represent
         print(f"qsdlab: bad config: {exc}", file=sys.stderr)
+        if made is not None:
+            with contextlib.suppress(OSError):
+                made.rmdir()  # fails unless the directory is still empty
         return EXIT_BAD_CONFIG
     except _IOFailure as exc:
         print(f"qsdlab: io error: {exc}", file=sys.stderr)

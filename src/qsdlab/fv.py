@@ -15,8 +15,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -27,10 +25,8 @@ from .streams import Stream, substream
 
 __all__ = [
     "FVConfig",
-    "ParticleEnsemble",
     "FVReport",
     "q_mu_step",
-    "fv_step",
     "fv_step_reference",
     "run_fv",
     "init_states",
@@ -42,12 +38,11 @@ _INIT_STREAM = 0  # stream id reserved for drawing the initial ensemble
 
 @dataclass
 class FVConfig:
-    """Run parameters for the particle system."""
+    """Run parameters for the particle system; the step size is the model's."""
 
     n_particles: int
     n_steps: int
     seed: int
-    gamma: Optional[float] = None
     snapshot_stride: int = 100
     max_resurrection_iters: int = 1_000_000
 
@@ -60,33 +55,15 @@ class FVConfig:
             raise ValueError("snapshot_stride must be positive")
         if self.max_resurrection_iters < 1:
             raise ValueError("max_resurrection_iters must be at least 1")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive when given")
 
     def as_dict(self) -> dict:
         return {
             "n_particles": self.n_particles,
             "n_steps": self.n_steps,
             "seed": self.seed,
-            "gamma": self.gamma,
             "snapshot_stride": self.snapshot_stride,
             "max_resurrection_iters": self.max_resurrection_iters,
         }
-
-
-@dataclass
-class ParticleEnsemble:
-    """N particle states plus step and death accounting."""
-
-    states: np.ndarray
-    step_index: int
-    seed: int
-    deaths_this_step: int = 0
-    cumulative_deaths: int = 0
-
-    @property
-    def n_particles(self) -> int:
-        return self.states.shape[0]
 
 
 @dataclass
@@ -122,9 +99,9 @@ def _live_states(model: KilledModel, values) -> np.ndarray:
     """``values`` as an array of engine states, refused unless every state
     lies in the model's state space and survives with positive probability."""
     arr = np.array(values, dtype=float)
-    if model.kind == "finite":
+    if model.geometry == "finite":
         arr = arr.reshape(-1)
-        n_states = model.chain.n_states
+        n_states = model.move.chain.n_states
         if not np.all((arr == np.floor(arr)) & (arr >= 0) & (arr < n_states)):
             raise ValueError(f"initial states of {model.name} must be integers "
                              f"in 0..{n_states - 1}, got {values!r}")
@@ -161,8 +138,8 @@ def init_states(model: KilledModel, n: int, seed: int, init="uniform") -> np.nda
         raise ValueError(f"unknown init spec: {init!r}")
     # particle i reads counters 0, 1, ... of the stream (seed, _INIT_STREAM, i)
     keys = _k.derive_keys_np(seed, _INIT_STREAM, np.arange(n, dtype=np.uint64))
-    if model.kind == "finite":
-        n_states = model.chain.n_states
+    if model.geometry == "finite":
+        n_states = model.move.chain.n_states
         u = _k._u01_np(keys, np.zeros(n, dtype=np.uint64))
         return np.minimum((u * n_states).astype(np.int64), n_states - 1)
     return np.stack([_k._u01_np(keys, np.full(n, k, dtype=np.uint64))
@@ -202,7 +179,7 @@ def _sorted_source(model: KilledModel, states: np.ndarray) -> np.ndarray:
     the multiset of states; that is what makes label permutation commute
     with a step exactly.
     """
-    if model.kind == "finite":
+    if model.geometry == "finite":
         return np.sort(states)
     if states.shape[1] == 1:
         return np.sort(states, axis=0)
@@ -228,35 +205,15 @@ def fv_step_reference(model: KilledModel, states: np.ndarray, seed: int,
     sid = step_index + 1
     for i in range(n):
         rng = substream(seed, sid, int(stream_ids[i]))
-        xi = states[i] if model.kind != "finite" else int(states[i])
-        new, dd = q_mu_step(model, xi, src, rng, max_iters=max_iters)
+        new, dd = q_mu_step(model, states[i], src, rng, max_iters=max_iters)
         out[i] = new
         deaths += dd
     return out, deaths
 
 
 # ---------------------------------------------------------------------------
-# kernel dispatch
+# the engine
 # ---------------------------------------------------------------------------
-
-def _kernel(model: KilledModel):
-    """The step kernel of the model's kind with the model's parameters bound,
-    called as ``kernel(states, src, seed, sid, max_iters)``."""
-    if model.kind == "gauss":
-        return partial(_k.step_gauss, gamma=model.gamma, drift=model.drift,
-                       kill=model.kill, wrap=model.geometry == "torus",
-                       noise=model.noise_scale)
-    if model.kind == "redraw":
-        return partial(_k.step_redraw, gamma=model.gamma, kill=model.kill)
-    if model.kind == "finite":
-        p_kill = model.kill.prob(np.arange(model.chain.n_states), model.gamma)
-        return partial(_k.step_finite, cum_rows=model.cum_rows, p_kill=p_kill,
-                       unif_mean=model.unif_rate * model.gamma)
-    # "growth_frag", the last kind KilledModel accepts
-    return partial(_k.step_growth_frag, gamma=model.gamma, growth=model.gf_growth,
-                   frac=model.gf_frac, jump_rate=model.gf_jump_rate,
-                   kill=model.kill)
-
 
 def _run_chunk(model: KilledModel, states: np.ndarray, seed: int, sid0: int,
                n_steps: int, max_iters: int) -> np.ndarray:
@@ -264,7 +221,7 @@ def _run_chunk(model: KilledModel, states: np.ndarray, seed: int, sid0: int,
     deaths = np.zeros(n_steps, dtype=np.int64)
     if n_steps == 0:
         return deaths
-    step = _kernel(model)
+    step = model.move.kernel(model)
     for s in range(n_steps):
         src = _sorted_source(model, states)
         deaths[s], err = step(states, src, seed, sid0 + s, max_iters)
@@ -274,24 +231,6 @@ def _run_chunk(model: KilledModel, states: np.ndarray, seed: int, sid0: int,
     return deaths
 
 
-def fv_step(model: KilledModel, ensemble: ParticleEnsemble,
-            max_iters: Optional[int] = None) -> ParticleEnsemble:
-    """One synchronous step of the particle system.
-
-    Every particle advances by the resampling kernel with the frozen
-    pre-step empirical measure as resurrection source; the input ensemble is
-    not modified.
-    """
-    max_iters = 1_000_000 if max_iters is None else max_iters
-    states = ensemble.states.copy()
-    deaths = _run_chunk(model, states, ensemble.seed, ensemble.step_index + 1,
-                        1, max_iters)
-    return ParticleEnsemble(states=states, step_index=ensemble.step_index + 1,
-                            seed=ensemble.seed,
-                            deaths_this_step=int(deaths[0]),
-                            cumulative_deaths=ensemble.cumulative_deaths + int(deaths[0]))
-
-
 def run_fv(model: KilledModel, config: FVConfig, init="uniform") -> FVReport:
     """Run the particle system and collect snapshots and death counts.
 
@@ -299,8 +238,6 @@ def run_fv(model: KilledModel, config: FVConfig, init="uniform") -> FVReport:
     report bit for bit, and the snapshot stride has no effect on the
     trajectory itself.
     """
-    if config.gamma is not None and abs(config.gamma - model.gamma) > 0:
-        raise ValueError("config.gamma disagrees with the model's step size")
     t0 = time.perf_counter()
     states = init_states(model, config.n_particles, config.seed, init)
     deaths = np.zeros(config.n_steps, dtype=np.int64)
@@ -314,7 +251,8 @@ def run_fv(model: KilledModel, config: FVConfig, init="uniform") -> FVReport:
         done += chunk
         snapshots.append((done, states.copy()))
     elapsed = time.perf_counter() - t0
-    return FVReport(model=model.describe(), config=config.as_dict(),
+    return FVReport(model=model.describe(),
+                    config=dict(config.as_dict(), gamma=model.gamma),
                     seed=config.seed,
                     n_particles=config.n_particles, gamma=model.gamma,
                     deaths=deaths, snapshots=snapshots,

@@ -1,22 +1,24 @@
 """Killed Markov models behind a uniform propose-then-kill interface.
 
 Every model advances in discrete time with step size ``gamma``: propose a
-move, then evaluate a kill probability at the proposed point.  Soft killing
-uses ``p(x) = 1 - exp(-gamma * rate(x))``; hard killing is the indicator of
-leaving an open domain.  Finite chains advance their conservative jump part
-by exact uniformization (Poisson number of sub-steps of ``I + Q/rate``), so
-their one-step law can be compared against a matrix oracle with no
-time-discretization error in the jump part.
+move with the model's move object, then evaluate a kill probability at the
+proposed point.  Soft killing uses ``p(x) = 1 - exp(-gamma * rate(x))``;
+hard killing is the indicator of leaving an open domain.  Finite chains
+advance their conservative jump part by exact uniformization (Poisson number
+of sub-steps of ``I + Q/rate``), so their one-step law can be compared
+against a matrix oracle with no time-discretization error in the jump part.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import _kernels as _k
 from .streams import Stream
 
 __all__ = [
@@ -32,6 +34,10 @@ __all__ = [
     "IntervalKill",
     "PowerKill",
     "StateKill",
+    "GaussMove",
+    "RedrawMove",
+    "ChainMove",
+    "GrowthFragMove",
     "propose",
     "kill_prob",
     "analytic_qsd",
@@ -303,48 +309,143 @@ class FiniteKilledChain:
 
 
 # ---------------------------------------------------------------------------
+# proposal moves
+# ---------------------------------------------------------------------------
+#
+# Each proposal kind is one object.  ``kernel(model)`` binds the engine's
+# ``_kernels.step_*`` to the model, called as ``kernel(states, src, seed,
+# sid, max_iters)``; ``propose(model, x, rng)`` is its scalar reference, draw
+# for draw.  ``tag``, ``drift`` and ``noise`` go to the model block of
+# ``report.json``; a move without drift or noise reports zero and one.
+
+class _Move:
+    drift = ZeroDrift()
+    noise = 1.0
+
+
+@dataclass(frozen=True)
+class GaussMove(_Move):
+    """``x + gamma*drift(x) + sqrt(gamma)*noise*xi``, wrapped on the torus."""
+
+    drift: object = ZeroDrift()
+    noise: float = 1.0
+
+    tag = 0
+
+    def kernel(self, model: KilledModel):
+        return partial(_k.step_gauss, gamma=model.gamma, drift=self.drift,
+                       kill=model.kill, wrap=model.geometry == "torus",
+                       noise=self.noise)
+
+    def propose(self, model: KilledModel, x: np.ndarray, rng: Stream) -> np.ndarray:
+        sqrtg = math.sqrt(model.gamma)
+        b = self.drift.drift(x[None, :])[0]
+        if not np.all(np.isfinite(b)):
+            raise ModelEvaluationError(f"drift is not finite at {x!r}")
+        out = np.empty(model.dim)
+        for k in range(model.dim):
+            out[k] = x[k] + model.gamma * b[k] + sqrtg * self.noise * rng.normal()
+        if model.geometry == "torus":
+            out -= np.floor(out)
+        return out
+
+
+@dataclass(frozen=True)
+class RedrawMove(_Move):
+    """Uniform(0, 1) with probability ``1 - exp(-gamma)``, else stay."""
+
+    tag = 1
+
+    def kernel(self, model: KilledModel):
+        return partial(_k.step_redraw, gamma=model.gamma, kill=model.kill)
+
+    def propose(self, model: KilledModel, x: np.ndarray, rng: Stream) -> np.ndarray:
+        if rng.u01() < 1.0 - math.exp(-model.gamma):
+            return np.array([rng.u01()])
+        return x.copy()
+
+
+@dataclass(frozen=True, eq=False)
+class ChainMove(_Move):
+    """The uniformized jump chain of ``chain``: Poisson(``gamma*rate``) jumps
+    of ``I + Q/rate``, ``rate`` being the chain's largest jump outflow."""
+
+    chain: FiniteKilledChain
+
+    tag = 2
+
+    @cached_property
+    def cum_rows(self) -> np.ndarray:
+        """Cumulative rows of ``I + Q/rate``, each ending at exactly 1."""
+        rate = self.chain.conservative_rate()
+        jumps = self.chain.jump_rates  # zero diagonal
+        p = jumps / rate if rate > 0 else np.zeros_like(jumps)
+        p[np.diag_indices_from(p)] = 1.0 - p.sum(axis=1)
+        cum = np.cumsum(p, axis=1)
+        cum[:, -1] = 1.0
+        return cum
+
+    def kernel(self, model: KilledModel):
+        p_kill = model.kill.prob(np.arange(self.chain.n_states), model.gamma)
+        return partial(_k.step_finite, cum_rows=self.cum_rows, p_kill=p_kill,
+                       unif_mean=self.chain.conservative_rate() * model.gamma)
+
+    def propose(self, model: KilledModel, x: int, rng: Stream) -> int:
+        njumps = rng.poisson(self.chain.conservative_rate() * model.gamma)
+        for _ in range(njumps):
+            x = min(int(np.searchsorted(self.cum_rows[x], rng.u01(), side="right")),
+                    self.chain.n_states - 1)
+        return x
+
+
+@dataclass(frozen=True)
+class GrowthFragMove(_Move):
+    """``x*exp(gamma*growth)``, times ``frac`` with probability
+    ``1 - exp(-gamma*jump_rate)``: a flow, then a jump at the end of the step."""
+
+    growth: float
+    frac: float
+    jump_rate: float
+
+    tag = 3
+
+    def kernel(self, model: KilledModel):
+        return partial(_k.step_growth_frag, gamma=model.gamma, growth=self.growth,
+                       frac=self.frac, jump_rate=self.jump_rate, kill=model.kill)
+
+    def propose(self, model: KilledModel, x: np.ndarray, rng: Stream) -> np.ndarray:
+        y = x[0] * math.exp(model.gamma * self.growth)
+        if rng.u01() < 1.0 - math.exp(-model.gamma * self.jump_rate):
+            y = self.frac * y
+        return np.array([y])
+
+
+# ---------------------------------------------------------------------------
 # killed models (discrete-time, propose/kill form)
 # ---------------------------------------------------------------------------
-
-_REPORT_TAGS = {"gauss": 0, "redraw": 1, "finite": 2, "growth_frag": 3}
-
 
 @dataclass
 class KilledModel:
     """A discrete-time killed model usable by the particle engine.
 
-    ``kind`` names the proposal: ``"gauss"`` (``x + gamma*drift(x) +
-    sqrt(gamma)*noise_scale*xi``, wrapped on the torus), ``"redraw"``
-    (Uniform(0, 1) with probability ``1 - exp(-gamma)``, else stay),
-    ``"finite"`` (the uniformized jump chain of ``chain``) or
-    ``"growth_frag"`` (``x*exp(gamma*gf_growth)``, times ``gf_frac`` with
-    probability ``1 - exp(-gamma*gf_jump_rate)``).  The engine has one step
-    kernel per kind.  ``drift`` and ``kill`` are family objects; the kill
-    acts at the proposed point.
+    One step proposes with ``move`` (a ``GaussMove``, ``RedrawMove``,
+    ``ChainMove`` or ``GrowthFragMove``), then kills the proposal with
+    probability ``kill.prob`` at the proposed point.  A ``"finite"``
+    geometry has integer states ``0..n_states-1`` (the states of its
+    ``ChainMove``'s chain); the other geometries have ``(n, dim)`` float
+    states.
     """
 
     name: str
     geometry: str                  # "torus" | "interval" | "finite" | "halfline"
     dim: int
     gamma: float
-    kind: str
-    drift: object = ZeroDrift()
+    move: object
     kill: object = NoKill()
-    noise_scale: float = 1.0
-    # finite-chain payload
-    chain: Optional[FiniteKilledChain] = None
-    cum_rows: Optional[np.ndarray] = None
-    unif_rate: float = 0.0
-    # growth-fragmentation payload (constants)
-    gf_growth: float = 0.0
-    gf_frac: float = 0.5
-    gf_jump_rate: float = 0.0
 
     def __post_init__(self):
         if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
             raise ValueError("gamma must be a positive real")
-        if self.kind not in _REPORT_TAGS:
-            raise ValueError(f"unknown model kind {self.kind!r}; known: {sorted(_REPORT_TAGS)}")
 
     def describe(self) -> dict:
         kp0, kp1 = self.kill.params
@@ -353,81 +454,35 @@ class KilledModel:
             "geometry": self.geometry,
             "dim": self.dim,
             "gamma": self.gamma,
-            "kind": _REPORT_TAGS[self.kind],
-            "drift_id": self.drift.tag,
-            "drift_params": [float(v) for v in self.drift.params],
+            "kind": self.move.tag,
+            "drift_id": self.move.drift.tag,
+            "drift_params": [float(v) for v in self.move.drift.params],
             "kill_id": self.kill.tag,
             "kp0": kp0,
             "kp1": kp1,
-            "noise_scale": self.noise_scale,
+            "noise_scale": self.move.noise,
         }
-        if self.chain is not None:
-            d["n_states"] = self.chain.n_states
+        if self.geometry == "finite":
+            d["n_states"] = self.move.chain.n_states
         return d
 
 
 def propose(model: KilledModel, x, rng: Stream):
     """One proposal move from ``x``; does not evaluate the kill decision.
 
-    Continuous kinds take and return a length-``dim`` float array; finite
-    chains take and return a state index.  The draw accounting matches the
-    particle engine exactly, so a particle step can be replayed with the
-    same stream.
+    Continuous geometries take and return a length-``dim`` float array;
+    finite chains take and return a state index.  The draw accounting
+    matches the particle engine exactly, so a particle step can be replayed
+    with the same stream.
     """
-    if model.kind == "finite":
-        return _propose_finite(model, int(x), rng)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if model.kind == "redraw":
-        return _propose_redraw(model, x, rng)
-    if model.kind == "growth_frag":
-        return _propose_growthfrag(model, x, rng)
-    return _propose_gauss(model, x, rng)
-
-
-def _propose_gauss(model: KilledModel, x: np.ndarray, rng: Stream) -> np.ndarray:
-    d = model.dim
-    sqrtg = math.sqrt(model.gamma)
-    b = model.drift.drift(x[None, :])[0]
-    if not np.all(np.isfinite(b)):
-        raise ModelEvaluationError(f"drift is not finite at {x!r}")
-    out = np.empty(d)
-    for k in range(d):
-        z = rng.normal()
-        out[k] = x[k] + model.gamma * b[k] + sqrtg * model.noise_scale * z
-    if model.geometry == "torus":
-        out -= np.floor(out)
-    return out
-
-
-def _propose_redraw(model: KilledModel, x: np.ndarray, rng: Stream) -> np.ndarray:
-    p_move = 1.0 - math.exp(-model.gamma)
-    if rng.u01() < p_move:
-        return np.array([rng.u01()])
-    return x.copy()
-
-
-def _propose_finite(model: KilledModel, x: int, rng: Stream) -> int:
-    mean = model.unif_rate * model.gamma
-    njumps = rng.poisson(mean)
-    n_states = model.chain.n_states
-    for _ in range(njumps):
-        u = rng.u01()
-        x = int(np.searchsorted(model.cum_rows[x], u, side="right"))
-        if x >= n_states:
-            x = n_states - 1
-    return x
-
-
-def _propose_growthfrag(model: KilledModel, x: np.ndarray, rng: Stream) -> np.ndarray:
-    y = x[0] * math.exp(model.gamma * model.gf_growth)
-    if rng.u01() < 1.0 - math.exp(-model.gamma * model.gf_jump_rate):
-        y = model.gf_frac * y
-    return np.array([y])
+    if model.geometry == "finite":
+        return model.move.propose(model, int(x), rng)
+    return model.move.propose(model, np.atleast_1d(np.asarray(x, dtype=float)), rng)
 
 
 def kill_prob(model: KilledModel, x_proposed) -> float:
     """Kill probability evaluated at the proposed (post-move) point."""
-    if model.kind == "finite":
+    if model.geometry == "finite":
         row = np.array([int(x_proposed)])
     else:
         row = np.atleast_1d(np.asarray(x_proposed, dtype=float))[None, :]
@@ -480,7 +535,7 @@ class HouseOfCard:
 
     def model(self, gamma: float) -> KilledModel:
         return KilledModel(name="house_of_card", geometry="interval", dim=1,
-                           gamma=gamma, kind="redraw", kill=self.kill)
+                           gamma=gamma, move=RedrawMove(), kill=self.kill)
 
 
 @dataclass(frozen=True)
@@ -535,8 +590,8 @@ class PeriodicShift:
 
     def model(self, gamma: float) -> KilledModel:
         return KilledModel(name="periodic_shift", geometry="torus", dim=1,
-                           gamma=gamma, kind="gauss",
-                           drift=ConstDrift(float(self.speed)), noise_scale=0.0)
+                           gamma=gamma,
+                           move=GaussMove(ConstDrift(float(self.speed)), noise=0.0))
 
 
 @dataclass(frozen=True)
@@ -561,10 +616,9 @@ class GrowthFrag:
 
     def model(self, gamma: float) -> KilledModel:
         return KilledModel(name="growth_frag", geometry="halfline", dim=1,
-                           gamma=gamma, kind="growth_frag",
-                           kill=ConstKill(self.kill_rate),
-                           gf_growth=self.growth, gf_frac=self.frac,
-                           gf_jump_rate=self.jump_rate)
+                           gamma=gamma,
+                           move=GrowthFragMove(self.growth, self.frac, self.jump_rate),
+                           kill=ConstKill(self.kill_rate))
 
 
 @dataclass(frozen=True)
@@ -614,7 +668,7 @@ class TorusDiffusion:
     def model(self, gamma: float) -> KilledModel:
         drift, kill = self.families()
         return KilledModel(name="torus_diffusion", geometry="torus", dim=self.dim,
-                           gamma=gamma, kind="gauss", drift=drift, kill=kill)
+                           gamma=gamma, move=GaussMove(drift), kill=kill)
 
 
 @dataclass(frozen=True)
@@ -623,7 +677,7 @@ class IntervalBrownian:
 
     def model(self, gamma: float) -> KilledModel:
         return KilledModel(name="interval_brownian", geometry="interval", dim=1,
-                           gamma=gamma, kind="gauss", kill=IntervalKill(0.0, 1.0))
+                           gamma=gamma, move=GaussMove(), kill=IntervalKill(0.0, 1.0))
 
 
 def discrete_model(chain: FiniteKilledChain, gamma: float, name: str = "finite") -> KilledModel:
@@ -634,19 +688,8 @@ def discrete_model(chain: FiniteKilledChain, gamma: float, name: str = "finite")
     probability ``1 - exp(-gamma * kill_rate)``.  The matching one-step
     reference kernel is ``expm(gamma*Q) @ diag(exp(-gamma*kill))``.
     """
-    rate = chain.conservative_rate()
-    n = chain.n_states
-    if rate > 0:
-        p = chain.jump_rates / rate
-        np.fill_diagonal(p, 0.0)
-        p[np.diag_indices(n)] = 1.0 - p.sum(axis=1)
-        cum = np.cumsum(p, axis=1)
-    else:
-        cum = np.cumsum(np.eye(n), axis=1)
-    cum[:, -1] = 1.0
     return KilledModel(name=name, geometry="finite", dim=1, gamma=gamma,
-                       kind="finite", kill=StateKill(chain.kill_rates),
-                       chain=chain, cum_rows=cum, unif_rate=rate)
+                       move=ChainMove(chain), kill=StateKill(chain.kill_rates))
 
 
 PRESETS = {

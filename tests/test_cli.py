@@ -146,7 +146,8 @@ def test_unknown_key_and_preset_and_params(tmp_path):
         assert main([mode, "--config", cfg]) == EXIT_BAD_CONFIG, doc
     # a preset an oracle-backed mode cannot use, and a Harris base whose
     # q**n over- or underflows on the chain, are config errors too; they are
-    # found after the output directory is made
+    # found after the output directory is made, and the empty directory is
+    # removed again
     bd400 = {**harris["model"],
              "params": {**harris["model"]["params"], "truncation": 400}}
     torus2 = {"name": "torus_diffusion", "params": {"dim": 2}}
@@ -163,6 +164,7 @@ def test_unknown_key_and_preset_and_params(tmp_path):
         cfg = _write(tmp_path, f"refused{i}.json",
                      {**doc, "output_dir": str(tmp_path / "refused")})
         assert main([mode, "--config", cfg]) == EXIT_BAD_CONFIG, doc
+        assert not (tmp_path / "refused").exists(), doc
     # --jobs is at least 1, and only sweep runs more than one job
     cfg = _write(tmp_path, "jobs_sweep.json", sweep)
     assert main(["sweep", "--config", cfg, "--jobs", "0"]) == EXIT_BAD_CONFIG

@@ -8,8 +8,7 @@ import scipy.linalg
 import qsdlab as q
 from qsdlab.fv import (
     FVConfig,
-    ParticleEnsemble,
-    fv_step,
+    _run_chunk,
     fv_step_reference,
     init_states,
     q_mu_step,
@@ -107,10 +106,9 @@ def test_two_point_output_law_matches_enumeration():
     expect = land / (1.0 - q_die)       # geometric resurrection from transient
 
     n = 1_000_000
-    ens = ParticleEnsemble(states=np.full(n, 1, dtype=np.int64), step_index=0,
-                           seed=2024)
-    nxt = fv_step(model, ens)
-    freq = np.bincount(nxt.states, minlength=2) / n
+    states = np.full(n, 1, dtype=np.int64)
+    _run_chunk(model, states, 2024, 1, 1, 1_000_000)
+    freq = np.bincount(states, minlength=2) / n
     assert tv_finite(freq, expect) < 1e-3
     # depth-12 truncation of the tree bounds the enumeration error itself
     assert q_die ** 12 < 1e-3
@@ -147,22 +145,21 @@ def test_two_point_pair_law_matches_enumeration():
 
 def test_single_particle_resurrects_from_itself():
     model = q.IntervalBrownian().model(0.01)
-    ens = ParticleEnsemble(states=np.array([[0.5]]), step_index=0, seed=5)
-    nxt = fv_step(model, ens)
-    assert nxt.n_particles == 1
-    assert 0.0 < nxt.states[0, 0] < 1.0
-    ref, deaths = fv_step_reference(model, ens.states, 5, 0)
-    assert np.array_equal(nxt.states, ref)
+    states = np.array([[0.5]])
+    _run_chunk(model, states, 5, 1, 1, 1_000_000)
+    assert states.shape[0] == 1
+    assert 0.0 < states[0, 0] < 1.0
+    ref, deaths = fv_step_reference(model, np.array([[0.5]]), 5, 0)
+    assert np.array_equal(states, ref)
 
 
 def test_population_size_conserved():
     model = _torus(0.05, kill=3.0)
-    ens = ParticleEnsemble(states=init_states(model, 300, 7), step_index=0,
-                           seed=7)
-    for _ in range(5):
-        ens = fv_step(model, ens)
-        assert ens.n_particles == 300
-        assert np.all(np.isfinite(ens.states))
+    states = init_states(model, 300, 7)
+    for step_index in range(5):
+        _run_chunk(model, states, 7, step_index + 1, 1, 1_000_000)
+        assert states.shape[0] == 300
+        assert np.all(np.isfinite(states))
 
 
 def test_kernel_matches_reference_step():
@@ -178,13 +175,13 @@ def test_kernel_matches_reference_step():
     ]
     for model, tag in cases:
         states = init_states(model, 200, 11)
-        ens = ParticleEnsemble(states=states.copy(), step_index=3, seed=11)
-        out = fv_step(model, ens)
+        out = states.copy()
+        out_deaths = _run_chunk(model, out, 11, 3 + 1, 1, 1_000_000)
         ref, deaths = fv_step_reference(model, states, 11, 3)
-        np.testing.assert_allclose(out.states.astype(float),
+        np.testing.assert_allclose(out.astype(float),
                                    ref.astype(float), rtol=1e-12,
                                    atol=1e-13, err_msg=tag)
-        assert out.deaths_this_step == deaths, tag
+        assert out_deaths[0] == deaths, tag
         if tag == "growth_frag":
             assert deaths > 0  # the resurrection path is compared too
 
@@ -312,7 +309,7 @@ def test_two_torus_constant_kill_keeps_uniform_law():
 def test_kernel_path_overflow_is_annotated():
     # proposals of standard deviation 10 almost never land in (0.4, 0.6)
     model = q.KilledModel(name="narrow", geometry="interval", dim=1,
-                          gamma=100.0, kind="gauss",
+                          gamma=100.0, move=q.GaussMove(),
                           kill=q.IntervalKill(0.4, 0.6))
     cfg = FVConfig(n_particles=8, n_steps=3, seed=1, snapshot_stride=1,
                    max_resurrection_iters=5)
@@ -321,12 +318,6 @@ def test_kernel_path_overflow_is_annotated():
     assert err.value.step == 0
     assert 0 <= err.value.particle < 8
     assert err.value.iterations == 5
-
-
-def test_gamma_mismatch_rejected():
-    model = _torus(0.01)
-    with pytest.raises(ValueError):
-        run_fv(model, FVConfig(n_particles=8, n_steps=2, seed=0, gamma=0.02))
 
 
 def test_config_validation():

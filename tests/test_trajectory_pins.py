@@ -73,8 +73,8 @@ def test_pinned_trajectory(family):
 
 
 # sha256 of a3_failure.json written by ``qsdlab demo --name a3_failure`` at
-# the default seed; the demo drives both proposal-only models particle by
-# particle, so any change to the scalar proposals or their streams shows here
+# the default seed; the demo is one ``run_fv`` call per proposal-only model,
+# so any change to their engine kernels or their streams shows here
 A3_FAILURE_SHA = "ba3195db3d8f8b3d6f11275e298a9af01475ae5402a440c730f2c64410615960"
 
 
