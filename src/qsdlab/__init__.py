@@ -40,7 +40,6 @@ from .models import (
     TorusDiffusion,
     TwoPoint,
     ZeroDrift,
-    analytic_qsd,
     build_preset,
     discrete_model,
     kill_prob,

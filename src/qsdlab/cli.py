@@ -45,17 +45,7 @@ from .metrics import (
     fit_power_law,
     w1_auto,
 )
-from .models import (
-    PRESETS,
-    BirthDeath,
-    GrowthFrag,
-    HouseOfCard,
-    IntervalBrownian,
-    PeriodicShift,
-    TorusDiffusion,
-    TwoPoint,
-    analytic_qsd,
-)
+from .models import PRESETS, GrowthFrag, PeriodicShift, TwoPoint
 from .oracle import (
     EigenTriplet,
     UnsupportedModelError,
@@ -133,27 +123,11 @@ class _IOFailure(RuntimeError):
 # oracle helpers
 # ---------------------------------------------------------------------------
 
-_GRID_PRESETS = (HouseOfCard, TorusDiffusion, IntervalBrownian)
-
-
 def _chain_for(preset, section: dict):
     """The finite chain of ``preset``; a grid takes ``n_grid`` cells from the
-    config section."""
-    if isinstance(preset, (TwoPoint, BirthDeath)):
-        return preset.chain()
-    if isinstance(preset, _GRID_PRESETS):
-        return grid_generator(preset, section.get("n_grid", 2000))
-    raise ConfigError(f"{type(preset).__name__} has no finite-chain oracle")
-
-
-def _default_t0(preset, chain) -> float:
-    if isinstance(preset, IntervalBrownian):
-        return 0.06
-    if isinstance(preset, TorusDiffusion):
-        return 0.25
-    if isinstance(preset, HouseOfCard):
-        return 1.0
-    return default_horizon(chain)
+    config section, if it sets them."""
+    n_grid = {"n_grid": section["n_grid"]} if "n_grid" in section else {}
+    return grid_generator(preset, **n_grid)
 
 
 def _qsd_csv(path: pathlib.Path, chain, components) -> None:
@@ -172,7 +146,7 @@ def _qsd_csv(path: pathlib.Path, chain, components) -> None:
 def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path) -> None:
     preset = cfg.preset()
     chain = _chain_for(preset, cfg.oracle)
-    t0 = float(cfg.oracle.get("t0", _default_t0(preset, chain)))
+    t0 = float(cfg.oracle.get("t0", preset.horizon or default_horizon(chain)))
     m = killed_semigroup(chain, t0)
     trip = perron_triplet(m)
     comps = list_qsds(m, trip)
@@ -201,7 +175,7 @@ def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path) -> None:
         }
     else:
         payload["reducibility"] = str(trip)
-    closed = analytic_qsd(preset)
+    closed = preset.closed_forms()
     if closed:
         payload["closed_forms"] = [
             {"theta": c.theta, "regime": c.regime,
@@ -251,15 +225,11 @@ def _run_harris(cfg: ExperimentConfig, out: pathlib.Path) -> None:
 # simulate mode
 # ---------------------------------------------------------------------------
 
-def _build_model(cfg: ExperimentConfig, gamma: float):
-    return cfg.preset().model(gamma)
-
-
 def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path) -> None:
     # the fv section holds the model's gamma, FVConfig's fields and run_fv's
     # init
     fv = dict(cfg.fv)
-    model = _build_model(cfg, float(fv.pop("gamma")))
+    model = cfg.preset().model(float(fv.pop("gamma")))
     init = {"init": fv.pop("init")} if "init" in fv else {}
     report = run_fv(model, FVConfig(seed=cfg.seed, **fv), **init)
     write_report(report, out)
@@ -271,12 +241,12 @@ def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path) -> None:
 
 def _oracle_measure(cfg: ExperimentConfig):
     preset = cfg.preset()
-    if not isinstance(preset, _GRID_PRESETS):
+    chain = _chain_for(preset, cfg.sweep)
+    if chain.geometry == "finite":
         # particle positions are compared with the grid cells' positions
         raise ConfigError(f"sweep needs a continuous preset with a grid "
                           f"oracle, and {cfg.model_name} has none")
-    chain = _chain_for(preset, cfg.sweep)
-    m = killed_semigroup(chain, _default_t0(preset, chain))
+    m = killed_semigroup(chain, preset.horizon or default_horizon(chain))
     trip = perron_triplet(m)
     if not isinstance(trip, EigenTriplet):
         raise RuntimeError(f"sweep oracle needs a primitive chain: {trip}")
@@ -285,7 +255,7 @@ def _oracle_measure(cfg: ExperimentConfig):
 
 
 def _sweep_point(cfg, gamma, n_particles, horizons, seed, oracle_m, burn_frac):
-    model = _build_model(cfg, gamma)
+    model = cfg.preset().model(gamma)
     t_max = max(horizons)
     n_steps = int(round(t_max / gamma))
     stride = int(cfg.sweep.get("snapshot_stride",

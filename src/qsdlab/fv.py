@@ -81,9 +81,6 @@ class FVReport:
     geometry: str
     elapsed: float = 0.0
 
-    def snapshot_steps(self):
-        return [s for s, _ in self.snapshots]
-
 
 # ---------------------------------------------------------------------------
 # initial ensembles

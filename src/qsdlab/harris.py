@@ -393,7 +393,8 @@ def search_lyapunov_pair(chain: FiniteKilledChain, t0: Optional[float] = None,
             v = v / v.max()  # rescale against under/overflow; verdicts are scale-free
         if not np.all(v > 0):
             raise LyapunovBaseError(f"base q={q!r}: q**n over- or underflows "
-                                    f"on the {n} states of the chain")
+                                    f"on the {n} states of the chain; use "
+                                    "fewer states or bases nearer 1")
         return v
 
     Vs = [build(q1) for q1 in q1_grid]

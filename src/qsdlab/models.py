@@ -7,6 +7,11 @@ hard killing is the indicator of leaving an open domain.  Finite chains
 advance their conservative jump part by exact uniformization (Poisson number
 of sub-steps of ``I + Q/rate``), so their one-step law can be compared
 against a matrix oracle with no time-discretization error in the jump part.
+
+Each preset also answers the oracle: ``chain(n_grid)`` is the finite chain
+its oracle runs on (a grid of ``n_grid`` cells for a continuous preset),
+``horizon`` its default semigroup horizon and ``closed_forms()`` its
+closed-form quasi-stationary distributions.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "KilledModel",
     "FiniteKilledChain",
     "ModelEvaluationError",
+    "UnsupportedModelError",
     "ZeroDrift",
     "ConstDrift",
     "SineDrift",
@@ -40,7 +46,6 @@ __all__ = [
     "GrowthFragMove",
     "propose",
     "kill_prob",
-    "analytic_qsd",
     "ClosedFormQsd",
     "TwoPoint",
     "HouseOfCard",
@@ -59,6 +64,10 @@ _TWO_PI = 2.0 * math.pi
 
 class ModelEvaluationError(ValueError):
     """A model produced a non-finite value during evaluation."""
+
+
+class UnsupportedModelError(ValueError):
+    """The preset has no finite-chain oracle."""
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +502,23 @@ def kill_prob(model: KilledModel, x_proposed) -> float:
 # presets
 # ---------------------------------------------------------------------------
 
+class _Preset:
+    """What the oracle asks of a preset, with the answers of a preset that
+    has no finite-chain oracle, no horizon of its own and no closed form."""
+
+    horizon = None
+
+    def chain(self, n_grid: int) -> FiniteKilledChain:
+        raise UnsupportedModelError(f"{type(self).__name__} has no finite-chain oracle")
+
+    def closed_forms(self) -> tuple:
+        """Known closed-form QSDs with regime tags; when there are none the
+        spectral oracle is the reference."""
+        return ()
+
+
 @dataclass(frozen=True)
-class TwoPoint:
+class TwoPoint(_Preset):
     """Two-state chain: the transient state jumps to the dying state at rate
     ``a``; the dying state is killed at rate ``b`` and never jumps."""
 
@@ -508,22 +532,34 @@ class TwoPoint:
         if self.a <= 0 or self.b <= 0:
             raise ValueError("two_point needs a > 0 and b > 0")
 
-    def chain(self) -> FiniteKilledChain:
+    def chain(self, n_grid=None) -> FiniteKilledChain:
         q = np.zeros((2, 2))
         q[self.TRANSIENT, self.DYING] = self.a
         return FiniteKilledChain(q, np.array([self.b, 0.0]),
                                  labels=("dying", "transient"), name="two_point")
+
+    def closed_forms(self) -> tuple:
+        a, b = self.a, self.b
+        dirac = ClosedFormQsd(theta=b, regime="dirac_dying",
+                              weights=np.array([1.0, 0.0]))
+        if b > a:
+            mix = ClosedFormQsd(theta=a, regime="mixture",
+                                weights=np.array([a / b, (b - a) / b]))
+            return (mix, dirac)
+        return (dirac,)
 
     def model(self, gamma: float) -> KilledModel:
         return discrete_model(self.chain(), gamma, name="two_point")
 
 
 @dataclass(frozen=True)
-class HouseOfCard:
+class HouseOfCard(_Preset):
     """State on [0,1], redrawn uniformly at rate 1, killed at rate c*x**q."""
 
     c: float
     q: float
+
+    horizon = 1.0
 
     def __post_init__(self):
         if self.c < 0 or self.q < 0:
@@ -533,13 +569,55 @@ class HouseOfCard:
     def kill(self) -> PowerKill:
         return PowerKill(self.c, self.q)
 
+    def chain(self, n_grid: int, zero_atom: bool = False) -> FiniteKilledChain:
+        """Exact uniform-redraw rows between ``n_grid`` cell midpoints.
+        ``zero_atom`` additionally keeps the point {0} as its own state,
+        which is where the degenerate quasi-stationary distributions put an
+        atom."""
+        x = (np.arange(n_grid) + 0.5) / n_grid
+        if zero_atom:
+            # redraws land in the cells with probability 1/n each and hit
+            # the null set {0} with probability zero
+            q = np.zeros((n_grid + 1, n_grid + 1))
+            q[:, 1:] = 1.0 / n_grid
+            np.fill_diagonal(q, 0.0)
+            kill = np.concatenate([[0.0], self.kill.rate(x[:, None])])
+            return FiniteKilledChain(q, kill,
+                                     positions=np.concatenate([[0.0], x]),
+                                     geometry="interval",
+                                     name="house_of_card_grid_atom")
+        q = np.full((n_grid, n_grid), 1.0 / n_grid)
+        np.fill_diagonal(q, 0.0)
+        kill = self.kill.rate(x[:, None])
+        return FiniteKilledChain(q, kill, positions=x, geometry="interval",
+                                 name="house_of_card_grid")
+
+    def closed_forms(self) -> tuple:
+        c, q = self.c, self.q
+        q_crit = 1.0 - 1.0 / c if c > 0 else -math.inf
+        if q > q_crit + 1e-12:
+            theta = _house_theta_root(c, q)
+            dens = lambda x, _c=c, _q=q, _t=theta: 1.0 / (1.0 + _c * np.asarray(x) ** _q - _t)
+            return (ClosedFormQsd(theta=theta, regime="unique_bounded", density=dens),)
+        if abs(q - q_crit) <= 1e-12:
+            dens = lambda x, _q=q: (1.0 - _q) * np.asarray(x) ** (-_q)
+            return (
+                ClosedFormQsd(theta=1.0, regime="critical_density", density=dens),
+                ClosedFormQsd(theta=1.0, regime="dirac_zero", atom=0.0, atom_weight=1.0),
+            )
+        # degenerate regime: atom at zero plus density proportional to x**-q
+        w0 = 1.0 - 1.0 / (c * (1.0 - q))
+        dens = lambda x, _c=c, _q=q: np.asarray(x) ** (-_q) / _c
+        return (ClosedFormQsd(theta=1.0, regime="degenerate_mixture", density=dens,
+                              atom=0.0, atom_weight=w0),)
+
     def model(self, gamma: float) -> KilledModel:
         return KilledModel(name="house_of_card", geometry="interval", dim=1,
                            gamma=gamma, move=RedrawMove(), kill=self.kill)
 
 
 @dataclass(frozen=True)
-class BirthDeath:
+class BirthDeath(_Preset):
     """Birth-death chain on {1..truncation} with reflecting cap.
 
     Interior states move up at rate ``b`` and down at rate ``d``; the lowest
@@ -559,7 +637,7 @@ class BirthDeath:
         if self.truncation < 3:
             raise ValueError("truncation must be at least 3")
 
-    def chain(self) -> FiniteKilledChain:
+    def chain(self, n_grid=None) -> FiniteKilledChain:
         n = self.truncation
         q = np.zeros((n, n))
         q[0, 1] = self.b1
@@ -583,7 +661,7 @@ class BirthDeath:
 
 
 @dataclass(frozen=True)
-class PeriodicShift:
+class PeriodicShift(_Preset):
     """Deterministic rotation of the 1-torus at unit speed, never killed."""
 
     speed: float = 1.0
@@ -595,7 +673,7 @@ class PeriodicShift:
 
 
 @dataclass(frozen=True)
-class GrowthFrag:
+class GrowthFrag(_Preset):
     """Exponential growth with multiplicative down-jumps on the half-line.
 
     From a single starting point the reachable set after n steps has at most
@@ -622,7 +700,7 @@ class GrowthFrag:
 
 
 @dataclass(frozen=True)
-class TorusDiffusion:
+class TorusDiffusion(_Preset):
     """Diffusion on the d-torus with a named drift/kill family.
 
     drift: ``None`` (zero), a float (constant speed on every coordinate),
@@ -634,6 +712,8 @@ class TorusDiffusion:
     dim: int = 1
     drift: object = None
     kill: object = None
+
+    horizon = 0.25
 
     def __post_init__(self):
         if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
@@ -665,6 +745,25 @@ class TorusDiffusion:
             raise ValueError(f"unknown kill family: {kill!r}")
         return drift_f, kill_f
 
+    def chain(self, n_grid: int) -> FiniteKilledChain:
+        """``n_grid`` cells of the circle: second-order central differences
+        for the diffusion and first-order upwind for the drift, which keeps
+        the off-diagonal rates nonnegative."""
+        if self.dim != 1:
+            raise UnsupportedModelError("the torus_diffusion grid is one "
+                                        f"dimensional, got dim={self.dim}")
+        h = 1.0 / n_grid
+        x = np.arange(n_grid) * h
+        rate = 0.5 / (h * h)
+        drift, kill = self.families()
+        b = drift.drift(x[:, None])[:, 0]
+        q = np.zeros((n_grid, n_grid))
+        i = np.arange(n_grid)
+        q[i, (i + 1) % n_grid] = rate + np.maximum(b, 0.0) / h
+        q[i, (i - 1) % n_grid] = rate + np.maximum(-b, 0.0) / h
+        return FiniteKilledChain(q, kill.rate(x[:, None]), positions=x,
+                                 geometry="torus", name="torus_diffusion_grid")
+
     def model(self, gamma: float) -> KilledModel:
         drift, kill = self.families()
         return KilledModel(name="torus_diffusion", geometry="torus", dim=self.dim,
@@ -672,8 +771,29 @@ class TorusDiffusion:
 
 
 @dataclass(frozen=True)
-class IntervalBrownian:
+class IntervalBrownian(_Preset):
     """Standard Brownian proposals on (0, 1), killed on leaving the interval."""
+
+    horizon = 0.06
+
+    def chain(self, n_grid: int) -> FiniteKilledChain:
+        """``n_grid`` interior points with second-order central differences;
+        the two boundary rows are killed at the rate of a jump out."""
+        h = 1.0 / (n_grid + 1)
+        x = (np.arange(n_grid) + 1) * h
+        rate = 0.5 / (h * h)
+        q = np.zeros((n_grid, n_grid))
+        i = np.arange(n_grid - 1)
+        q[i, i + 1] = q[i + 1, i] = rate
+        kill = np.zeros(n_grid)
+        kill[[0, -1]] = rate
+        return FiniteKilledChain(q, kill, positions=x, geometry="interval",
+                                 name="interval_brownian_grid")
+
+    def closed_forms(self) -> tuple:
+        dens = lambda x: (math.pi / 2.0) * np.sin(math.pi * np.asarray(x))
+        return (ClosedFormQsd(theta=math.pi ** 2 / 2.0, regime="dirichlet_ground_state",
+                              density=dens),)
 
     def model(self, gamma: float) -> KilledModel:
         return KilledModel(name="interval_brownian", geometry="interval", dim=1,
@@ -781,43 +901,3 @@ def _house_theta_root(c: float, q: float) -> float:
         if g(hi) > 0:
             return float(brentq(g, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
     raise ValueError(f"no extinction rate found for house_of_card c={c}, q={q}")
-
-
-def analytic_qsd(preset) -> tuple:
-    """Known closed-form QSDs for a preset, with regime tags.
-
-    Returns an empty tuple when no printed closed form applies, in which
-    case the spectral oracle is the reference.
-    """
-    if isinstance(preset, TwoPoint):
-        a, b = preset.a, preset.b
-        dirac = ClosedFormQsd(theta=b, regime="dirac_dying",
-                              weights=np.array([1.0, 0.0]))
-        if b > a:
-            mix = ClosedFormQsd(theta=a, regime="mixture",
-                                weights=np.array([a / b, (b - a) / b]))
-            return (mix, dirac)
-        return (dirac,)
-    if isinstance(preset, HouseOfCard):
-        c, q = preset.c, preset.q
-        q_crit = 1.0 - 1.0 / c if c > 0 else -math.inf
-        if q > q_crit + 1e-12:
-            theta = _house_theta_root(c, q)
-            dens = lambda x, _c=c, _q=q, _t=theta: 1.0 / (1.0 + _c * np.asarray(x) ** _q - _t)
-            return (ClosedFormQsd(theta=theta, regime="unique_bounded", density=dens),)
-        if abs(q - q_crit) <= 1e-12:
-            dens = lambda x, _q=q: (1.0 - _q) * np.asarray(x) ** (-_q)
-            return (
-                ClosedFormQsd(theta=1.0, regime="critical_density", density=dens),
-                ClosedFormQsd(theta=1.0, regime="dirac_zero", atom=0.0, atom_weight=1.0),
-            )
-        # degenerate regime: atom at zero plus density proportional to x**-q
-        w0 = 1.0 - 1.0 / (c * (1.0 - q))
-        dens = lambda x, _c=c, _q=q: np.asarray(x) ** (-_q) / _c
-        return (ClosedFormQsd(theta=1.0, regime="degenerate_mixture", density=dens,
-                              atom=0.0, atom_weight=w0),)
-    if isinstance(preset, IntervalBrownian):
-        dens = lambda x: (math.pi / 2.0) * np.sin(math.pi * np.asarray(x))
-        return (ClosedFormQsd(theta=math.pi ** 2 / 2.0, regime="dirichlet_ground_state",
-                              density=dens),)
-    return ()

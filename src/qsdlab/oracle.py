@@ -1,5 +1,8 @@
 """Exact reference computations on finite or grid-discretized state spaces.
 
+The finite chain comes from the preset (``grid_generator`` asks it for
+``preset.chain(n_grid)``); this module knows no preset.
+
 The killed semigroup matrix ``M = exp(t*A)`` is computed by uniformization,
 which keeps entries nonnegative exactly; for stiff generators the horizon is
 halved until the uniformization mean is modest and the result is squared
@@ -23,12 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .models import (
-    FiniteKilledChain,
-    HouseOfCard,
-    IntervalBrownian,
-    TorusDiffusion,
-)
+from .models import FiniteKilledChain, UnsupportedModelError
 
 __all__ = [
     "KilledSemigroupMatrix",
@@ -54,10 +52,6 @@ _UNIF_MEAN_CAP = 64.0
 
 class ExtinctionUnderflowError(ArithmeticError):
     """Surviving mass vanished exactly; the recursion cannot be renormalized."""
-
-
-class UnsupportedModelError(ValueError):
-    """The preset has no grid discretization in this module."""
 
 
 @dataclass
@@ -426,65 +420,12 @@ def spectral_gap(m: KilledSemigroupMatrix) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# grid discretizations
+# the preset's chain
 # ---------------------------------------------------------------------------
 
-def grid_generator(preset, n_grid: int, zero_atom: bool = False) -> FiniteKilledChain:
-    """Finite-difference / jump discretization of a continuous preset.
-
-    Second-order central differences for the diffusion part, first-order
-    upwind for the drift (keeps off-diagonal rates nonnegative), Dirichlet
-    rows for hard killing, and exact uniform-redraw rows for the redraw
-    model.  ``zero_atom`` additionally keeps the point {0} as its own state
-    for the redraw model, which is where its degenerate quasi-stationary
-    distributions put an atom.
-    """
+def grid_generator(preset, n_grid: int = 2000) -> FiniteKilledChain:
+    """``preset.chain(n_grid)``: the finite chain the oracle runs on, which
+    raises :class:`UnsupportedModelError` for a preset that has none."""
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
-    if isinstance(preset, IntervalBrownian):
-        h = 1.0 / (n_grid + 1)
-        x = (np.arange(n_grid) + 1) * h
-        rate = 0.5 / (h * h)
-        q = np.zeros((n_grid, n_grid))
-        i = np.arange(n_grid - 1)
-        q[i, i + 1] = q[i + 1, i] = rate
-        kill = np.zeros(n_grid)
-        kill[[0, -1]] = rate
-        return FiniteKilledChain(q, kill, positions=x, geometry="interval",
-                                 name="interval_brownian_grid")
-    if isinstance(preset, TorusDiffusion):
-        if preset.dim != 1:
-            raise UnsupportedModelError("the torus_diffusion grid is one "
-                                        f"dimensional, got dim={preset.dim}")
-        h = 1.0 / n_grid
-        x = np.arange(n_grid) * h
-        rate = 0.5 / (h * h)
-        drift, kill = preset.families()
-        b = drift.drift(x[:, None])[:, 0]
-        q = np.zeros((n_grid, n_grid))
-        i = np.arange(n_grid)
-        q[i, (i + 1) % n_grid] = rate + np.maximum(b, 0.0) / h
-        q[i, (i - 1) % n_grid] = rate + np.maximum(-b, 0.0) / h
-        return FiniteKilledChain(q, kill.rate(x[:, None]), positions=x,
-                                 geometry="torus", name="torus_diffusion_grid")
-    if isinstance(preset, HouseOfCard):
-        x = (np.arange(n_grid) + 0.5) / n_grid
-        if zero_atom:
-            # redraws land in the cells with probability 1/n each and hit
-            # the null set {0} with probability zero
-            q = np.zeros((n_grid + 1, n_grid + 1))
-            q[:, 1:] = 1.0 / n_grid
-            np.fill_diagonal(q, 0.0)
-            kill = np.concatenate([[0.0], preset.kill.rate(x[:, None])])
-            return FiniteKilledChain(q, kill,
-                                     positions=np.concatenate([[0.0], x]),
-                                     geometry="interval",
-                                     name="house_of_card_grid_atom")
-        q = np.full((n_grid, n_grid), 1.0 / n_grid)
-        np.fill_diagonal(q, 0.0)
-        kill = preset.kill.rate(x[:, None])
-        return FiniteKilledChain(q, kill, positions=x, geometry="interval",
-                                 name="house_of_card_grid")
-    if zero_atom:
-        raise UnsupportedModelError("zero_atom applies to the redraw model only")
-    raise UnsupportedModelError(f"no grid discretization for {type(preset).__name__}")
+    return preset.chain(n_grid)

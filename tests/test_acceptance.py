@@ -29,7 +29,7 @@ from qsdlab.metrics import (
     w1_circle,
     w1_line,
 )
-from qsdlab.models import analytic_qsd, propose
+from qsdlab.models import propose
 from qsdlab.oracle import (
     iterate_conditional,
     killed_semigroup,
@@ -63,7 +63,7 @@ def test_c01_two_point_oracle_exactness():
 def test_c02_house_of_card(house_oracle):
     with CriterionTimer("C2 house-of-card grid oracle and particles", 120.0):
         chain, m, trip = house_oracle
-        (closed,) = analytic_qsd(q.HouseOfCard(1.0, 1.0))
+        (closed,) = q.HouseOfCard(1.0, 1.0).closed_forms()
         assert abs(closed.theta - HOUSE_THETA) < 1e-10
         assert abs(trip.theta - HOUSE_THETA) < 1e-3
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,15 @@ import pytest
 import scipy.linalg
 
 import qsdlab as q
+from qsdlab.cli import EXIT_BAD_CONFIG, EXIT_OK, main
 from qsdlab.metrics import tv_finite
-from qsdlab.models import ModelEvaluationError, analytic_qsd, kill_prob, propose
-from qsdlab.oracle import conditional_law_step, grid_generator, killed_semigroup
+from qsdlab.models import PRESETS, ClosedFormQsd, ModelEvaluationError, kill_prob, propose
+from qsdlab.oracle import (
+    UnsupportedModelError,
+    conditional_law_step,
+    grid_generator,
+    killed_semigroup,
+)
 from qsdlab.streams import substream
 
 
@@ -141,14 +148,14 @@ def test_soft_kill_monotone_in_rate_and_step():
 # ---------------------------------------------------------------------------
 
 def test_two_point_closed_forms():
-    mix, dirac = analytic_qsd(q.TwoPoint(1.0, 2.0))
+    mix, dirac = q.TwoPoint(1.0, 2.0).closed_forms()
     assert mix.regime == "mixture" and mix.theta == 1.0
     np.testing.assert_allclose(mix.weights, [0.5, 0.5], atol=1e-15)
     assert dirac.regime == "dirac_dying" and dirac.theta == 2.0
     np.testing.assert_allclose(dirac.weights, [1.0, 0.0], atol=0)
-    (only,) = analytic_qsd(q.TwoPoint(2.0, 1.0))
+    (only,) = q.TwoPoint(2.0, 1.0).closed_forms()
     assert only.regime == "dirac_dying" and only.theta == 1.0
-    (critical,) = analytic_qsd(q.TwoPoint(1.0, 1.0))
+    (critical,) = q.TwoPoint(1.0, 1.0).closed_forms()
     assert critical.theta == 1.0
 
 
@@ -162,26 +169,26 @@ def test_house_of_card_theta_closed_form():
         (1.0, 2.0, 0.2598261, 1e-7),
     ]
     for c, qexp, expect, tol in cases:
-        (qsd,) = analytic_qsd(q.HouseOfCard(c, qexp))
+        (qsd,) = q.HouseOfCard(c, qexp).closed_forms()
         assert qsd.regime == "unique_bounded"
         assert abs(qsd.theta - expect) < tol
         assert abs(qsd.density_mass() - 1.0) < 1e-8
-    assert abs(analytic_qsd(q.HouseOfCard(1.0, 1.0))[0].theta - 0.41802) < 1e-3
+    assert abs(q.HouseOfCard(1.0, 1.0).closed_forms()[0].theta - 0.41802) < 1e-3
 
 
 def test_house_of_card_regimes():
     # q = 0 with c > 0 is constant killing: theta = c, uniform density
-    (flat,) = analytic_qsd(q.HouseOfCard(0.5, 0.0))
+    (flat,) = q.HouseOfCard(0.5, 0.0).closed_forms()
     assert abs(flat.theta - 0.5) < 1e-10
     xs = np.linspace(0.01, 0.99, 11)
     np.testing.assert_allclose(flat.density(xs), np.ones_like(xs), rtol=1e-12)
     # critical line c = 1/(1-q)
-    crit = analytic_qsd(q.HouseOfCard(2.0, 0.5))
+    crit = q.HouseOfCard(2.0, 0.5).closed_forms()
     assert {c.regime for c in crit} == {"critical_density", "dirac_zero"}
     dens = [c for c in crit if c.regime == "critical_density"][0]
     assert abs(dens.density_mass() - 1.0) < 1e-8
     # degenerate: atom weight + density mass add to one
-    (deg,) = analytic_qsd(q.HouseOfCard(4.0, 0.5))
+    (deg,) = q.HouseOfCard(4.0, 0.5).closed_forms()
     assert deg.regime == "degenerate_mixture"
     assert deg.atom == 0.0 and 0 < deg.atom_weight < 1
     assert abs(deg.atom_weight + deg.density_mass() - 1.0) < 1e-8
@@ -189,19 +196,19 @@ def test_house_of_card_regimes():
 
 
 def test_interval_brownian_closed_form():
-    (qsd,) = analytic_qsd(q.IntervalBrownian())
+    (qsd,) = q.IntervalBrownian().closed_forms()
     assert abs(qsd.theta - math.pi ** 2 / 2.0) < 1e-14
     assert abs(qsd.density_mass() - 1.0) < 1e-8
 
 
 def test_no_closed_form_presets_return_empty():
-    assert analytic_qsd(q.PeriodicShift()) == ()
-    assert analytic_qsd(q.TorusDiffusion(dim=1)) == ()
+    assert q.PeriodicShift().closed_forms() == ()
+    assert q.TorusDiffusion(dim=1).closed_forms() == ()
 
 
 def test_closed_form_weights_are_probabilities():
     for preset in (q.TwoPoint(1.0, 2.0), q.TwoPoint(3.0, 1.0)):
-        for c in analytic_qsd(preset):
+        for c in preset.closed_forms():
             assert abs(c.weights.sum() - 1.0) < 1e-12
 
 
@@ -214,7 +221,7 @@ def test_closed_forms_fixed_under_conditional_step():
     for preset, t0 in cases:
         chain = grid_generator(preset, 2000)
         m = killed_semigroup(chain, t0)
-        (qsd,) = analytic_qsd(preset)
+        (qsd,) = preset.closed_forms()
         w = qsd.density(chain.positions)
         w = w / w.sum()
         w_next = conditional_law_step(m, w)
@@ -222,7 +229,7 @@ def test_closed_forms_fixed_under_conditional_step():
     # finite chain: both two-point QSDs
     tp = q.TwoPoint(1.0, 2.0)
     m2 = killed_semigroup(tp.chain(), 1.0)
-    for c in analytic_qsd(tp):
+    for c in tp.closed_forms():
         assert tv_finite(c.weights, conditional_law_step(m2, c.weights)) < 1e-12
 
 
@@ -231,10 +238,10 @@ def test_degenerate_closed_forms_fixed_on_atom_grid():
     # kept as a state; the density-only vague-limit form at criticality is
     # checked through its density component
     for c, qexp in ((4.0, 0.5), (2.0, 0.5)):
-        chain = grid_generator(q.HouseOfCard(c, qexp), 4000, zero_atom=True)
+        chain = q.HouseOfCard(c, qexp).chain(4000, zero_atom=True)
         x = chain.positions[1:]
         m = killed_semigroup(chain, 1.0)
-        for f in analytic_qsd(q.HouseOfCard(c, qexp)):
+        for f in q.HouseOfCard(c, qexp).closed_forms():
             if f.regime == "dirac_zero":
                 continue
             cells = f.density(x) / x.size
@@ -258,6 +265,43 @@ def test_preset_registry_and_validation():
         q.GrowthFrag(frac=1.5)
     with pytest.raises(ValueError):
         q.TorusDiffusion(dim=1, kill=("cosine", 1.0, 2.0)).model(0.1)
+
+
+# one small instance of every preset; the last three have no finite-chain
+# oracle
+_SMALL_PRESETS = (
+    ("two_point", {"a": 1.0, "b": 2.0}),
+    ("house_of_card", {"c": 1.0, "q": 1.0}),
+    ("birth_death", {"b": 4.0, "d": 1.0, "b1": 1.0, "d1": 0.1, "truncation": 20}),
+    ("torus_diffusion", {"drift": ["sine", 0.75], "kill": ["cosine", 1.0, 1.0]}),
+    ("interval_brownian", {}),
+    ("periodic_shift", {}),
+    ("growth_frag", {}),
+    ("torus_diffusion", {"dim": 2}),
+)
+
+
+def test_every_preset_answers_the_oracle(tmp_path):
+    assert {name for name, _ in _SMALL_PRESETS} == set(PRESETS)
+    for i, (name, params) in enumerate(_SMALL_PRESETS):
+        preset = q.build_preset(name, params)
+        unsupported = i >= 5
+        if unsupported:
+            with pytest.raises(UnsupportedModelError):
+                grid_generator(preset, 32)
+        else:
+            assert isinstance(grid_generator(preset, 32), q.FiniteKilledChain)
+        assert preset.horizon is None or (isinstance(preset.horizon, float)
+                                          and preset.horizon > 0)
+        closed = preset.closed_forms()
+        assert isinstance(closed, tuple)
+        assert all(isinstance(c, ClosedFormQsd) for c in closed)
+        cfg = tmp_path / f"{i}.json"
+        cfg.write_text(json.dumps({
+            "mode": "oracle", "model": {"name": name, "params": params},
+            "output_dir": str(tmp_path / f"out{i}"), "oracle": {"n_grid": 32}}))
+        expect = EXIT_BAD_CONFIG if unsupported else EXIT_OK
+        assert main(["oracle", "--config", str(cfg)]) == expect, name
 
 
 def test_birth_death_criterion_arithmetic():

@@ -6,7 +6,6 @@ import scipy.linalg
 
 import qsdlab as q
 from qsdlab.metrics import EmpiricalMeasure, measure_from_density, tv_finite, w1_line
-from qsdlab.models import analytic_qsd
 from qsdlab.oracle import (
     EigenTriplet,
     ExtinctionUnderflowError,
@@ -231,7 +230,7 @@ def test_house_grid_matches_root_find(house_oracle):
     chain, m, trip = house_oracle
     expect = (math.e - 2.0) / (math.e - 1.0)
     assert abs(trip.theta - expect) < 1e-3
-    (qsd,) = analytic_qsd(q.HouseOfCard(1.0, 1.0))
+    (qsd,) = q.HouseOfCard(1.0, 1.0).closed_forms()
     dens = qsd.density(chain.positions)
     np.testing.assert_allclose(trip.gamma_left, dens / dens.sum(), rtol=1e-3)
 
