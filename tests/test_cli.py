@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,10 @@ import pytest
 
 from qsdlab.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_OK, main
 from qsdlab.config import ConfigError, parse_config
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write(tmp_path, name, doc):
@@ -299,22 +304,32 @@ def test_sweep_summary_slope_in_band(tmp_path):
 
 
 def test_sweep_reruns_are_byte_identical_across_jobs(tmp_path):
-    doc = {
-        "mode": "sweep",
-        "model": {"name": "torus_diffusion",
-                  "params": {"dim": 1, "kill": ["cosine", 1.0, 1.0]}},
-        "seed": 8,
-        "output_dir": str(tmp_path / "sw"),
-        "sweep": {"gammas": [0.05], "n_particles": [16, 32], "horizons": [1.0],
-                  "n_seeds": 2, "n_grid": 64},
-    }
-    cfg = _write(tmp_path, "c.json", doc)
-    assert main(["sweep", "--config", cfg, "--jobs", "1"]) == EXIT_OK
-    first_csv = (tmp_path / "sw" / "sweep.csv").read_bytes()
-    first_sum = (tmp_path / "sw" / "summary.json").read_bytes()
-    assert main(["sweep", "--config", cfg, "--jobs", "3"]) == EXIT_OK
-    assert (tmp_path / "sw" / "sweep.csv").read_bytes() == first_csv
-    assert (tmp_path / "sw" / "summary.json").read_bytes() == first_sum
+    # the second config writes all three summary fits; both outputs are
+    # pinned byte for byte
+    torus = {"name": "torus_diffusion", "params": {"dim": 1}}
+    cases = (
+        ({"model": {**torus, "params": {"dim": 1, "kill": ["cosine", 1.0, 1.0]}},
+          "sweep": {"gammas": [0.05], "n_particles": [16, 32], "horizons": [1.0],
+                    "n_seeds": 2, "n_grid": 64}},
+         "13682bb436c47cf8492e0fcca3f30ad1f12568266dde59198eced1219456d4f5",
+         "71a2558a861bfb9d1dc5f9902af538d587740423831be8fcd5f1333cd921adeb"),
+        ({"model": {**torus, "params": {"dim": 1, "drift": ["sine", 0.75],
+                                        "kill": ["cosine", 1.0, 1.0]}},
+          "sweep": {"gammas": [0.02, 0.04, 0.08], "n_particles": [8, 16, 32],
+                    "horizons": [0.4, 0.8, 1.2], "n_grid": 64}},
+         "0a66fd84f01a65e8d47b27602e08d9c97e63370a6bd9d5b520566791573d3d53",
+         "80dda5a83abb11382a1672c710fece7017672833939b51e3ad5a1178e12cc6d8"),
+    )
+    for i, (doc, csv_sha, summary_sha) in enumerate(cases):
+        out = tmp_path / f"sw{i}"
+        cfg = _write(tmp_path, f"c{i}.json", {"mode": "sweep", "seed": 8,
+                                              "output_dir": str(out), **doc})
+        for jobs in ("1", "3"):
+            assert main(["sweep", "--config", cfg, "--jobs", jobs]) == EXIT_OK
+            assert _sha256(out / "sweep.csv") == csv_sha, (i, jobs)
+            assert _sha256(out / "summary.json") == summary_sha, (i, jobs)
+    summary = json.loads((tmp_path / "sw1" / "summary.json").read_text())
+    assert {"w1_vs_n", "w1_vs_gamma", "w1_vs_horizon"} <= set(summary)
 
 
 def test_harris_mode_emits_certificate(tmp_path):
@@ -346,6 +361,11 @@ def test_demo_noncommutation_emits_ordering_table(noncommutation_demo):
     # large N at any time keeps mass near the mixture weight
     assert table[(2, 2000)] < 0.1
     assert table[(256, 2000)] > 0.3
+    # both data files are pinned byte for byte at the default seed
+    assert _sha256(out / "noncommutation.csv") == \
+        "41cd38d22917727deed0fb1e170ed0b6455fa644a34e2d20fa4e0109f88cc4f1"
+    assert _sha256(out / "noncommutation.json") == \
+        "e45e11873946c7a69b5955d59110fd7583b096270f587383457c90aadcc63ac9"
 
 
 def test_env_var_output_root(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -350,6 +351,35 @@ def test_dirac_and_array_inits():
 # report files
 # ---------------------------------------------------------------------------
 
+# sha256 of report.json and of each snapshot CSV: a 1-D float run, a 2-D
+# float run and a finite-chain run, whose snapshots hold integer states
+_REPORT_PINS = {
+    "house_of_card": (
+        lambda: q.HouseOfCard(1.0, 1.0).model(0.05), 32, 40, 20, {
+            "report.json": "d61d66dc489b5426acf7eb82db63670865bc751ed824cb077e1b5bfce5f6a592",
+            "step_00000000.csv": "49defc4af496a55916bd07b806cf3e1122c46171851ea8564cc2edba4ae86b94",
+            "step_00000020.csv": "95eb3fcdf6b35233b3b9fa95c5e19ed31ad6c4c5cb7f5305ed0c1a92bcdab518",
+            "step_00000040.csv": "ad21973b13d975073799b1bfcb39a5a494a7fcaec7be80c59789c4f47e41600c"}),
+    "torus_2d": (
+        lambda: q.TorusDiffusion(dim=2, drift=0.5, kill=0.8).model(0.05), 16, 30, 10, {
+            "report.json": "7209958b4f8e130117b4aa692ee785539eb557ea72f9a729e24f783c86de6b05",
+            "step_00000000.csv": "d54a54fa253d9f32f2aca4e51764d4649e813369558755ac1ca8820458e015b1",
+            "step_00000010.csv": "0692666de0354f77bf6cb382eb8230555d81df5657481d92f17fdbf1fea46f25",
+            "step_00000020.csv": "3f899705e390d24a19882f1a49d875359507fb51c52b318df65cb161fed52f28",
+            "step_00000030.csv": "c85fa215df5f6349905d1c5a5949046ba661f5caa482c30b10b7a064f9fc831e"}),
+    "birth_death": (
+        lambda: q.BirthDeath(1.0, 2.0, 1.0, 0.5, truncation=20).model(0.1), 32, 40, 20, {
+            "report.json": "345a22bcf883a683d223e7e8eb2f51a03c5ec1c812ed7d935e2766daa3c45da7",
+            "step_00000000.csv": "0456e4c9974b640994549510af354b8631fffa15faf8a6bce899663e265f79ec",
+            "step_00000020.csv": "9591a9d6e512522a28c2197755598d27138c68230869dd8eecf40b2b97c8eb44",
+            "step_00000040.csv": "941745ec22b4e37d5cc0a28288303279e27f074d79cc56eda7050e68f489d5f3"}),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_write_report_round_trip(tmp_path):
     model = q.HouseOfCard(1.0, 1.0).model(0.05)
     rep = run_fv(model, FVConfig(n_particles=32, n_steps=40, seed=9,
@@ -370,3 +400,11 @@ def test_write_report_round_trip(tmp_path):
     assert (tmp_path / "report.json").read_text() == \
         (out2 / "report.json").read_text()
     assert files[40].read_text() == (out2 / "snapshots" / "step_00000040.csv").read_text()
+    # every byte of the data files is pinned
+    for name, (build, n, steps, stride, pins) in _REPORT_PINS.items():
+        out = tmp_path / "pinned" / name
+        files = write_report(run_fv(build(), FVConfig(
+            n_particles=n, n_steps=steps, seed=9, snapshot_stride=stride)), out)
+        assert sorted(files) == list(range(0, steps + 1, stride)), name
+        got = {p.name: _sha256(p) for p in [out / "report.json", *files.values()]}
+        assert got == pins, name
