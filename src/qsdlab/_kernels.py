@@ -117,9 +117,10 @@ def _u01_open_py(key: int, ctr: int) -> float:
 
 
 def _normal_py(key: int, ctr: int) -> float:
+    # numpy's log and cos, not math's, so the draw equals _normal_np's bit for bit
     u1 = _u01_open_py(key, ctr)
     u2 = _u01_py(key, ctr + 1)
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
+    return float(np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2))
 
 
 # vectorized uint64 forms (array arithmetic wraps silently)

@@ -10,6 +10,11 @@ harris     drift/minorization certificate search, JSON
 sweep      grid over (gamma, N, horizon, seed), CSV rows + fitted-rate summary
 demo       built-in named experiments (noncommutation, a3_failure)
 
+Each mode is one runner in ``_RUNNERS``.  Every data file goes through
+``fv.write_json`` or ``fv.write_csv``.  ``sweep`` runs its points on a pool
+of ``--jobs`` threads and writes the rows in point order, so its files are
+the same for every ``--jobs``.
+
 Exit codes: 0 success, 2 bad config (includes unknown presets and invalid
 parameters), 3 runtime failure, 4 unwritable output.
 """
@@ -25,13 +30,13 @@ import math
 import os
 import pathlib
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import _kernels as _k
 from .config import METRICS, MODES, ConfigError, ExperimentConfig, layout, load_config
-from .fv import FVConfig, run_fv, write_report
+from .fv import FVConfig, run_fv, write_csv, write_json, write_report
 from .harris import (
     LyapunovBaseError,
     check_irreducibility,
@@ -87,17 +92,15 @@ presets and their fields:
 """
 
 
-def _json_dump(obj, path: pathlib.Path) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
-
-
 def _model_hash(desc: dict) -> str:
     blob = json.dumps(desc, sort_keys=True).encode()
     return hashlib.sha1(blob).hexdigest()[:12]
 
 
-def _out_dir(cfg: ExperimentConfig, cli_out=None) -> pathlib.Path:
-    root = cli_out or cfg.output_dir or os.environ.get("QSDLAB_OUTPUT_DIR") \
+def _out_dir(cli_out, cfg_out=None) -> pathlib.Path:
+    """``--output-dir``, else the config's ``output_dir``, else
+    ``$QSDLAB_OUTPUT_DIR``, else ``./qsdlab_out``."""
+    root = cli_out or cfg_out or os.environ.get("QSDLAB_OUTPUT_DIR") \
         or "qsdlab_out"
     return pathlib.Path(root)
 
@@ -130,25 +133,19 @@ def _chain_for(preset, section: dict):
     return grid_generator(preset, **n_grid)
 
 
-def _qsd_csv(path: pathlib.Path, chain, components) -> None:
-    lines = ["state,position,label," + ",".join(
-        f"qsd{i}" for i in range(len(components)))]
-    pos = chain.positions
-    labels = chain.labels
-    for s in range(chain.n_states):
-        p = "" if pos is None else repr(float(pos[s]))
-        lab = "" if labels is None else str(labels[s])
-        vals = ",".join(repr(float(c.qsd[s])) for c in components)
-        lines.append(f"{s},{p},{lab},{vals}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path) -> None:
+def _spectrum(cfg: ExperimentConfig, section: dict):
+    """``(preset, chain, t0, M, triplet)``: the preset's chain, its semigroup
+    ``M`` at the section's ``t0`` (else the preset's horizon, else the
+    chain's default) and the Perron triplet of ``M``."""
     preset = cfg.preset()
-    chain = _chain_for(preset, cfg.oracle)
-    t0 = float(cfg.oracle.get("t0", preset.horizon or default_horizon(chain)))
+    chain = _chain_for(preset, section)
+    t0 = float(section.get("t0", preset.horizon or default_horizon(chain)))
     m = killed_semigroup(chain, t0)
-    trip = perron_triplet(m)
+    return preset, chain, t0, m, perron_triplet(m)
+
+
+def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
+    preset, chain, t0, m, trip = _spectrum(cfg, cfg.oracle)
     comps = list_qsds(m, trip)
     payload = {
         "model": {"name": cfg.model_name, "params": cfg.model_params},
@@ -157,8 +154,8 @@ def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path) -> None:
         "primitive": isinstance(trip, EigenTriplet),
         "qsds": [
             {"theta": c.theta,
-             "class_states": [int(i) for i in c.class_states],
-             "weights": [float(v) for v in c.qsd]}
+             "class_states": c.class_states.tolist(),
+             "weights": c.qsd.tolist()}
             for c in comps
         ],
     }
@@ -170,8 +167,8 @@ def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path) -> None:
             "iterations": trip.iterations,
             "residual_left": trip.residual_left,
             "residual_right": trip.residual_right,
-            "gamma_left": [float(v) for v in trip.gamma_left],
-            "h": [float(v) for v in trip.h],
+            "gamma_left": trip.gamma_left.tolist(),
+            "h": trip.h.tolist(),
         }
     else:
         payload["reducibility"] = str(trip)
@@ -185,18 +182,24 @@ def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path) -> None:
     n_surv = cfg.oracle.get("survival_steps", 50)
     if comps:
         surv = survival_curve(m, comps[0].qsd, n_surv)
-        payload["survival_from_qsd"] = [float(v) for v in surv]
+        payload["survival_from_qsd"] = surv.tolist()
     if chain.n_states <= 256:  # grids would dump megabytes of matrix
         payload["chain"] = chain.as_dict()
-    _json_dump(payload, out / "oracle.json")
-    _qsd_csv(out / "qsd.csv", chain, comps)
+    write_json(out / "oracle.json", payload)
+    none = [None] * chain.n_states
+    write_csv(out / "qsd.csv",
+              ["state", "position", "label"] + [f"qsd{i}" for i in range(len(comps))],
+              [range(chain.n_states),
+               none if chain.positions is None else chain.positions,
+               none if chain.labels is None else chain.labels,
+               *(c.qsd for c in comps)])
 
 
 # ---------------------------------------------------------------------------
 # harris mode
 # ---------------------------------------------------------------------------
 
-def _run_harris(cfg: ExperimentConfig, out: pathlib.Path) -> None:
+def _run_harris(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
     preset = cfg.preset()
     chain = _chain_for(preset, cfg.oracle)
     cert, m = search_lyapunov_pair(chain, **cfg.harris)
@@ -218,14 +221,14 @@ def _run_harris(cfg: ExperimentConfig, out: pathlib.Path) -> None:
             "omega_fit": rep.omega_fit,
             "omega_r2": rep.omega_r2,
         }
-    _json_dump(payload, out / "certificate.json")
+    write_json(out / "certificate.json", payload)
 
 
 # ---------------------------------------------------------------------------
 # simulate mode
 # ---------------------------------------------------------------------------
 
-def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path) -> None:
+def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
     # the fv section holds the model's gamma, FVConfig's fields and run_fv's
     # init
     fv = dict(cfg.fv)
@@ -240,14 +243,11 @@ def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path) -> None:
 # ---------------------------------------------------------------------------
 
 def _oracle_measure(cfg: ExperimentConfig):
-    preset = cfg.preset()
-    chain = _chain_for(preset, cfg.sweep)
+    _, chain, _, _, trip = _spectrum(cfg, cfg.sweep)
     if chain.geometry == "finite":
         # particle positions are compared with the grid cells' positions
         raise ConfigError(f"sweep needs a continuous preset with a grid "
                           f"oracle, and {cfg.model_name} has none")
-    m = killed_semigroup(chain, preset.horizon or default_horizon(chain))
-    trip = perron_triplet(m)
     if not isinstance(trip, EigenTriplet):
         raise RuntimeError(f"sweep oracle needs a primitive chain: {trip}")
     return EmpiricalMeasure(chain.positions, trip.gamma_left,
@@ -287,17 +287,10 @@ def _sweep_point(cfg, gamma, n_particles, horizons, seed, oracle_m, burn_frac):
             w = w1_auto(EmpiricalMeasure(pooled, geometry=geometry), oracle_m)
             rows.append((t, "w1_pooled", w, 0.0, pooled.size))
         if "theta_hat" in wanted:
-            est = estimate_theta(_clip_report(report, upto), burn)
+            est = estimate_theta(
+                replace(report, deaths=report.deaths[:upto]), burn)
             rows.append((t, "theta_hat", est.value, est.stderr, est.n_steps))
     return rows
-
-
-def _clip_report(report, upto):
-    import copy
-
-    clipped = copy.copy(report)
-    clipped.deaths = report.deaths[:upto]
-    return clipped
 
 
 def _run_sweep(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
@@ -311,36 +304,30 @@ def _run_sweep(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
     mhash = _model_hash({"name": cfg.model_name, "params": cfg.model_params})
 
     points = []
-    for gi, gamma in enumerate(gammas):
-        for ni, n in enumerate(ns):
-            for si in range(n_seeds):
+    for gamma in gammas:
+        for n in ns:
+            for _ in range(n_seeds):
                 seed = _k.derive_key(cfg.seed, len(points), 0) % (2 ** 62)
                 points.append((gamma, n, seed))
 
-    def work(idx):
-        gamma, n, seed = points[idx]
+    def work(point):
+        gamma, n, seed = point
         return _sweep_point(cfg, gamma, n, horizons, seed, oracle_m, burn_frac)
 
-    results = {}
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = {pool.submit(work, i): i for i in range(len(points))}
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
-    else:
-        for i in range(len(points)):
-            results[i] = work(i)
+    # every point runs on the pool, in any order; rows are written in
+    # point order, so the output is the same for every --jobs
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(work, points))
 
-    lines = [f"# {CSV_SCHEMA}",
-             "metric,value,stderr,n,gamma,n_particles,horizon,seed,model_hash"]
+    rows = []
     table = {}
-    for i in range(len(points)):
-        gamma, n, seed = points[i]
-        for t, name, value, stderr, count in results[i]:
-            lines.append(f"{name},{value!r},{stderr!r},{count},{gamma!r},"
-                         f"{n},{t!r},{seed},{mhash}")
+    for (gamma, n, seed), point_rows in zip(points, results):
+        for t, name, value, stderr, count in point_rows:
+            rows.append((name, value, stderr, count, gamma, n, t, seed, mhash))
             table.setdefault((name, gamma, n, t), []).append(value)
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "sweep.csv",
+              ["metric", "value", "stderr", "n", "gamma", "n_particles",
+               "horizon", "seed", "model_hash"], zip(*rows), comment=CSV_SCHEMA)
 
     summary = {"model_hash": mhash, "n_points": len(points)}
     t_last = max(horizons)
@@ -366,12 +353,13 @@ def _run_sweep(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
     # relaxation: instantaneous distance against horizon at the largest point
     if len(horizons) >= 3:
         n_big, g0 = max(ns), gammas[0]
-        vals = [float(np.mean(table[("w1_instant", g0, n_big, t)]))
-                for t in horizons if ("w1_instant", g0, n_big, t) in table]
+        # a horizon whose window holds no snapshot has no row
+        ts = [t for t in horizons if ("w1_instant", g0, n_big, t) in table]
+        vals = [float(np.mean(table[("w1_instant", g0, n_big, t)])) for t in ts]
         if len(vals) >= 3 and all(v > 0 for v in vals):
-            fit = fit_exponential_rate(horizons[: len(vals)], vals)
+            fit = fit_exponential_rate(ts, vals)
             summary["w1_vs_horizon"] = {"rate": fit.rate, "r2": fit.r2}
-    _json_dump(summary, out / "summary.json")
+    write_json(out / "summary.json", summary)
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +392,12 @@ def _demo_noncommutation(out: pathlib.Path, seed: int) -> None:
             rows.append({"n_particles": n, "steps": steps,
                          "time": steps * gamma,
                          "mean_transient_mass": mass / replicates})
-    lines = ["n_particles,steps,time,mean_transient_mass"]
-    for r in rows:
-        lines.append(f"{r['n_particles']},{r['steps']},{r['time']!r},"
-                     f"{r['mean_transient_mass']!r}")
-    (out / "noncommutation.csv").write_text("\n".join(lines) + "\n")
-    _json_dump({"replicates": replicates, "gamma": gamma,
-                "limit_mass_large_n": 0.5, "rows": rows},
-               out / "noncommutation.json")
+    header = ["n_particles", "steps", "time", "mean_transient_mass"]
+    write_csv(out / "noncommutation.csv", header,
+              [[r[key] for r in rows] for key in header])
+    write_json(out / "noncommutation.json",
+               {"replicates": replicates, "gamma": gamma,
+                "limit_mass_large_n": 0.5, "rows": rows})
 
 
 def _demo_a3_failure(out: pathlib.Path, seed: int) -> None:
@@ -434,10 +420,15 @@ def _demo_a3_failure(out: pathlib.Path, seed: int) -> None:
                   for _, arr in rep.snapshots[1:]]
         results[name] = {"distinct_support_per_step": counts,
                          "bound": [s + 1 for s in range(1, n_steps + 1)]}
-    _json_dump(results, out / "a3_failure.json")
+    write_json(out / "a3_failure.json", results)
 
 
 _DEMOS = {"noncommutation": _demo_noncommutation, "a3_failure": _demo_a3_failure}
+
+# mode -> runner(cfg, out, jobs), one per entry of config.MODES; every mode
+# takes --jobs, and only sweep runs more than one job
+_RUNNERS = {"simulate": _run_simulate, "oracle": _run_oracle,
+            "harris": _run_harris, "sweep": _run_sweep}
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +460,7 @@ def main(argv=None) -> int:
     made = None  # the output directory, if this call created it
     try:
         if args.mode == "demo":
-            out = pathlib.Path(args.output_dir
-                               or os.environ.get("QSDLAB_OUTPUT_DIR")
-                               or "qsdlab_out")
+            out = _out_dir(args.output_dir)
             _prepare_dir(out)
             _DEMOS[args.name](out, args.seed)
             print(f"demo {args.name}: wrote {out}")
@@ -485,16 +474,9 @@ def main(argv=None) -> int:
                               f"command {args.mode!r}")
         if args.seed is not None:
             cfg.seed = args.seed
-        out = _out_dir(cfg, args.output_dir)
+        out = _out_dir(args.output_dir, cfg.output_dir)
         made = out if _prepare_dir(out) else None
-        if args.mode == "simulate":
-            _run_simulate(cfg, out)
-        elif args.mode == "oracle":
-            _run_oracle(cfg, out)
-        elif args.mode == "harris":
-            _run_harris(cfg, out)
-        elif args.mode == "sweep":
-            _run_sweep(cfg, out, args.jobs)
+        _RUNNERS[args.mode](cfg, out, args.jobs)
         print(f"{args.mode}: wrote {out}")
         return EXIT_OK
     except (ConfigError, UnsupportedModelError, LyapunovBaseError) as exc:

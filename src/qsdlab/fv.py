@@ -7,12 +7,17 @@ The product form over particles makes updates independent within a step;
 per-particle counter-based streams keyed by (run seed, step, particle) make
 the result reproducible regardless of scheduling and exactly exchangeable
 under joint permutation of labels and streams.
+
+Every data file of the package is written by ``write_json`` or
+``write_csv``, so each format is spelled out once; ``write_report`` writes
+a run's files with them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import pathlib
 import time
 from dataclasses import dataclass
 
@@ -31,6 +36,8 @@ __all__ = [
     "run_fv",
     "init_states",
     "write_report",
+    "write_json",
+    "write_csv",
 ]
 
 _INIT_STREAM = 0  # stream id reserved for drawing the initial ensemble
@@ -117,15 +124,10 @@ def _live_states(model: KilledModel, values) -> np.ndarray:
 def init_states(model: KilledModel, n: int, seed: int, init="uniform") -> np.ndarray:
     """Draw the initial particle array from a sampleable description.
 
-    ``init`` is ``"uniform"`` (uniform over the live space), a pair
-    ``("dirac", value)``, or an explicit array of states.  Given states are
-    checked against the model's state space (ValueError).
+    ``init`` is ``"uniform"`` (uniform over the live space) or a pair
+    ``("dirac", value)``.  A Dirac state is checked against the model's
+    state space (ValueError).
     """
-    if isinstance(init, np.ndarray):
-        arr = _live_states(model, init)
-        if arr.shape[0] != n:
-            raise ValueError(f"explicit init has {arr.shape[0]} states, expected {n}")
-        return arr
     if isinstance(init, (tuple, list)) and len(init) == 2 and init[0] == "dirac":
         arr = _live_states(model, init[1])
         if arr.shape[0] != 1:
@@ -258,24 +260,45 @@ def run_fv(model: KilledModel, config: FVConfig, init="uniform") -> FVReport:
 
 
 # ---------------------------------------------------------------------------
-# serialization: JSON metadata plus one CSV per snapshot
+# serialization: the one JSON writer and the one CSV writer of every data file
 # ---------------------------------------------------------------------------
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
+def write_json(path: pathlib.Path, payload) -> None:
+    """Write ``payload`` as JSON with sorted keys and a one-space indent."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def _cells(column) -> list:
+    """One CSV column as text: a float as ``repr(float(v))`` (numpy 2 would
+    write ``np.float64(v)``), ``None`` as an empty cell, anything else by
+    ``str``.  Arrays are read through ``tolist()``."""
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    return [repr(float(v)) if isinstance(v, float) else "" if v is None else str(v)
+            for v in column]
+
+
+def write_csv(path: pathlib.Path, header, columns, comment=None) -> None:
+    """Write a CSV table column by column, under an optional ``# comment``
+    line: ``header`` names the columns and ``columns`` holds one sequence
+    of values per name."""
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_report(report: FVReport, outdir) -> dict:
-    """Write report.json, run_meta.json and snapshots/step_*.csv.
+    """Write report.json, run_meta.json and snapshots/step_*.csv; returns
+    the snapshot paths by step.
 
-    ``report.json`` and the snapshot CSVs are byte-deterministic functions
-    of the run; wall-clock timing goes to the ``run_meta.json`` sidecar.
+    ``report.json`` and the snapshot CSVs (columns ``particle,state`` on a
+    finite chain, else ``particle,x0,x1,...``) are byte-deterministic
+    functions of the run; wall-clock timing goes to ``run_meta.json``.
     """
-    import pathlib
-
     out = pathlib.Path(outdir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
-    payload = {
+    write_json(out / "report.json", {
         "model": report.model,
         "config": report.config,
         "seed": report.seed,
@@ -283,27 +306,15 @@ def write_report(report: FVReport, outdir) -> dict:
         "n_particles": report.n_particles,
         "gamma": report.gamma,
         "geometry": report.geometry,
-        "deaths_per_step": [int(v) for v in report.deaths],
-        "snapshot_steps": [int(s) for s, _ in report.snapshots],
-    }
-    (out / "report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    (out / "run_meta.json").write_text(
-        json.dumps({"elapsed_seconds": report.elapsed}) + "\n")
+        "deaths_per_step": report.deaths.tolist(),
+        "snapshot_steps": [s for s, _ in report.snapshots],
+    })
+    write_json(out / "run_meta.json", {"elapsed_seconds": report.elapsed})
     files = {}
     for step, arr in report.snapshots:
         path = out / "snapshots" / f"step_{step:08d}.csv"
-        lines = []
-        if arr.ndim == 1:
-            lines.append("particle,state")
-            for i, v in enumerate(arr):
-                lines.append(f"{i},{int(v)}")
-        else:
-            cols = ",".join(f"x{k}" for k in range(arr.shape[1]))
-            lines.append(f"particle,{cols}")
-            for i in range(arr.shape[0]):
-                vals = ",".join(_format_float(v) for v in arr[i])
-                lines.append(f"{i},{vals}")
-        path.write_text("\n".join(lines) + "\n")
+        names, cols = (["state"], [arr]) if arr.ndim == 1 else \
+            ([f"x{k}" for k in range(arr.shape[1])], arr.T)
+        write_csv(path, ["particle", *names], [range(len(arr)), *cols])
         files[step] = path
     return files

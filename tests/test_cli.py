@@ -11,6 +11,7 @@ import pytest
 
 from qsdlab.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_OK, main
 from qsdlab.config import ConfigError, parse_config
+from qsdlab.metrics import fit_exponential_rate
 
 
 def _sha256(path) -> str:
@@ -330,6 +331,34 @@ def test_sweep_reruns_are_byte_identical_across_jobs(tmp_path):
             assert _sha256(out / "summary.json") == summary_sha, (i, jobs)
     summary = json.loads((tmp_path / "sw1" / "summary.json").read_text())
     assert {"w1_vs_n", "w1_vs_gamma", "w1_vs_horizon"} <= set(summary)
+
+
+def test_sweep_w1_vs_horizon_pairs_values_with_their_horizons(tmp_path):
+    # at stride 50 the first horizon's window (steps 3..5) holds no
+    # snapshot, so it has no row, and the fit must use the horizons of the
+    # rows it has
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "sweep",
+        "model": {"name": "torus_diffusion",
+                  "params": {"dim": 1, "drift": ["sine", 0.75],
+                             "kill": ["cosine", 1.0, 1.0]}},
+        "seed": 5,
+        "output_dir": str(tmp_path / "sw"),
+        "sweep": {"gammas": [0.01], "n_particles": [16],
+                  "horizons": [0.05, 1.0, 2.0, 3.0], "snapshot_stride": 50,
+                  "n_grid": 64},
+        "metrics": ["w1_instant"],
+    })
+    assert main(["sweep", "--config", cfg]) == EXIT_OK
+    lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[2:]]
+    ts = [float(r["horizon"]) for r in rows]
+    assert ts == [1.0, 2.0, 3.0]
+    fit = fit_exponential_rate(ts, [float(r["value"]) for r in rows])
+    summary = json.loads((tmp_path / "sw" / "summary.json").read_text())
+    assert summary["w1_vs_horizon"]["rate"] == pytest.approx(fit.rate, rel=1e-12)
+    assert summary["w1_vs_horizon"]["r2"] == pytest.approx(fit.r2, rel=1e-12)
 
 
 def test_harris_mode_emits_certificate(tmp_path):

@@ -4,15 +4,13 @@ Models are drawn from every proposal kind: Gaussian moves on the 1-D and
 2-D torus, without noise (periodic_shift) and on the hard-killed interval, uniform redraws
 (house_of_card), finite chains (two_point, a small birth_death) and the
 growth/fragmentation flow.  One engine step must equal the particle-by-
-particle reference ``fv_step_reference``: bit for bit for the kinds whose
-scalar arithmetic is the engine's, and to 1e-12 for Gaussian moves, whose
-reference draws its normals with ``math.log`` / ``math.cos``.  The
-reference must commute with a joint permutation of particle labels and
+particle reference ``fv_step_reference`` bit for bit, for every kind, and
+the reference must commute with a joint permutation of particle labels and
 stream ids.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsdlab as q
@@ -67,8 +65,15 @@ def steps(draw):
     return model, init_states(model, n, seed), seed, draw(st.integers(0, 1000))
 
 
+def _case(model, n, seed, step_index=0):
+    return model, init_states(model, n, seed), seed, step_index
+
+
+# a pure-diffusion step on which a reference drawing its normals with
+# math.log / math.cos missed the engine's state of particle 14
 @SETTINGS
 @given(steps())
+@example(_case(q.TorusDiffusion(dim=1).model(0.5), 32, 14))
 def test_engine_step_equals_reference(case):
     model, states, seed, step_index = case
     out = states.copy()
@@ -76,10 +81,7 @@ def test_engine_step_equals_reference(case):
     ref, ref_deaths = fv_step_reference(model, states, seed, step_index,
                                         max_iters=MAX_ITERS)
     assert deaths[0] == ref_deaths
-    if isinstance(model.move, q.GaussMove):
-        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
-    else:
-        assert np.array_equal(out, ref)
+    assert np.array_equal(out, ref)
 
 
 @SETTINGS

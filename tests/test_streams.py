@@ -68,13 +68,14 @@ def test_vectorized_keys_match_scalar():
 
 
 def test_vectorized_draws_match_scalar():
-    pid = np.arange(16, dtype=np.uint64)
+    pid = np.arange(2000, dtype=np.uint64)
     keys = k.derive_keys_np(7, 2, pid)
-    ctrs = np.arange(16, dtype=np.uint64)
+    ctrs = pid % np.uint64(16)
     vec = k._u01_np(keys, ctrs)
     sca = np.array([k.u01_from_raw(k.raw_draw(int(keys[i]), int(ctrs[i])))
-                    for i in range(16)])
+                    for i in range(pid.size)])
     assert np.array_equal(vec, sca)
     vecn = k._normal_np(keys, ctrs)
-    scan = np.array([k._normal_py(int(keys[i]), int(ctrs[i])) for i in range(16)])
-    np.testing.assert_allclose(vecn, scan, rtol=1e-12, atol=1e-14)
+    scan = np.array([k._normal_py(int(keys[i]), int(ctrs[i]))
+                     for i in range(pid.size)])
+    assert np.array_equal(vecn, scan)
