@@ -287,8 +287,7 @@ def _sweep_point(cfg, gamma, n_particles, horizons, seed, oracle_m, burn_frac):
             w = w1_auto(EmpiricalMeasure(pooled, geometry=geometry), oracle_m)
             rows.append((t, "w1_pooled", w, 0.0, pooled.size))
         if "theta_hat" in wanted:
-            est = estimate_theta(
-                replace(report, deaths=report.deaths[:upto]), burn)
+            est = estimate_theta(replace(report, deaths=report.deaths[:upto]), burn)
             rows.append((t, "theta_hat", est.value, est.stderr, est.n_steps))
     return rows
 
