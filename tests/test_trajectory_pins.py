@@ -24,6 +24,8 @@ MODELS = {
     "house_of_card": lambda: q.HouseOfCard(c=2, q=1.5).model(0.05),
     "two_point": lambda: q.TwoPoint(1.0, 2.0).model(0.1),
     "birth_death": lambda: q.BirthDeath(1.0, 2.0, 1.0, 0.5, truncation=20).model(0.1),
+    "growth_frag": lambda: q.GrowthFrag(growth=1.0, frac=0.5, jump_rate=1.0,
+                                        kill_rate=0.5).model(0.05),
 }
 N_PARTICLES = {"periodic_shift": 16}
 
@@ -57,6 +59,10 @@ PINS = {
         [0, 0, 0, 0, 1, 0, 0, 0, 0, 3, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0],
         "52fd198e81ed032498b6ce3b28f4943f10bab43026253c63bdaf0f518f7d5d34",
         "b6b0153d4b715f7e824cec4e480a4ff44b02a5dc4b3850fdf1b702fc0c881981"),
+    "growth_frag": (
+        [2, 1, 0, 0, 2, 1, 2, 1, 2, 0, 2, 2, 2, 1, 0, 2, 0, 0, 3, 1, 2, 3, 0, 2, 2, 1, 5, 3, 1, 2],
+        "e21ce537fe2b764cae6e28e489f6a1c3e661b7f9682aa6c1147249a4e0cb5d52",
+        "89ae2e63832d248df4d7032444b7b585e2bf8101e0756c697449d288b21d9882"),
 }
 
 
