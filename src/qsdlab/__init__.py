@@ -23,11 +23,14 @@ from .models import (
     ConstDrift,
     ConstKill,
     CosineKill,
+    Finite,
     FiniteKilledChain,
     GaussMove,
     GrowthFrag,
     GrowthFragMove,
+    HalfLine,
     HouseOfCard,
+    Interval,
     IntervalBrownian,
     IntervalKill,
     KilledModel,
@@ -37,6 +40,7 @@ from .models import (
     RedrawMove,
     SineDrift,
     StateKill,
+    Torus,
     TorusDiffusion,
     TwoPoint,
     ZeroDrift,

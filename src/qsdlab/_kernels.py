@@ -198,7 +198,7 @@ def _resample(states, src, seed, sid, max_iters, propose, kill_prob):
 
 def step_gauss(states, src, seed, sid, max_iters, *, gamma, drift, kill,
                wrap, noise):
-    """``x' = x + gamma*b(x) + sqrt(gamma)*noise*xi``, wrapped on the torus."""
+    """``x' = wrap(x + gamma*b(x) + sqrt(gamma)*noise*xi)``, the space's wrap."""
     sqrtg = math.sqrt(gamma) * noise
 
     def propose(y, keys, ctrs):
@@ -206,10 +206,7 @@ def step_gauss(states, src, seed, sid, max_iters, *, gamma, drift, kill,
         for k in range(y.shape[1]):
             z[:, k] = _normal_np(keys, ctrs)
             ctrs += _TWO_U
-        prop = y + gamma * drift.drift(y) + sqrtg * z
-        if wrap:
-            prop -= np.floor(prop)
-        return prop
+        return wrap(y + gamma * drift.drift(y) + sqrtg * z)
 
     return _resample(states, src, seed, sid, max_iters, propose,
                      lambda x: kill.prob(x, gamma))

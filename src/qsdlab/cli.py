@@ -244,48 +244,43 @@ def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
 
 def _oracle_measure(cfg: ExperimentConfig):
     _, chain, _, _, trip = _spectrum(cfg, cfg.sweep)
-    if chain.geometry == "finite":
+    if chain.space.circle is None:
         # particle positions are compared with the grid cells' positions
         raise ConfigError(f"sweep needs a continuous preset with a grid "
                           f"oracle, and {cfg.model_name} has none")
     if not isinstance(trip, EigenTriplet):
         raise RuntimeError(f"sweep oracle needs a primitive chain: {trip}")
-    return EmpiricalMeasure(chain.positions, trip.gamma_left,
-                            geometry=chain.geometry)
+    return EmpiricalMeasure(chain.positions, trip.gamma_left, space=chain.space)
 
 
 def _sweep_point(cfg, gamma, n_particles, horizons, seed, oracle_m, burn_frac):
     model = cfg.preset().model(gamma)
-    t_max = max(horizons)
-    n_steps = int(round(t_max / gamma))
-    stride = int(cfg.sweep.get("snapshot_stride",
-                               max(1, n_steps // 200)))
+    n_steps = int(round(max(horizons) / gamma))
+    stride = int(cfg.sweep.get("snapshot_stride", max(1, n_steps // 200)))
     report = run_fv(model, FVConfig(n_particles=n_particles, n_steps=n_steps,
                                     seed=seed, snapshot_stride=stride))
-    geometry = model.geometry
     wanted = cfg.metrics or METRICS
     rows = []
-    snaps = report.snapshots
+
+    def w1(x):
+        return w1_auto(EmpiricalMeasure(x, space=model.space), oracle_m)
+
     for t in horizons:
         upto = int(round(t / gamma))
         burn = int(burn_frac * upto)
-        window = [(s, arr) for s, arr in snaps if burn < s <= upto]
+        window = [(s, arr) for s, arr in report.snapshots if burn < s <= upto]
         if not window:
             continue
         if "w1_instant" in wanted:
             arr = window[-1][1]
-            w = w1_auto(EmpiricalMeasure(arr[:, 0], geometry=geometry), oracle_m)
-            rows.append((t, "w1_instant", w, 0.0, arr.shape[0]))
+            rows.append((t, "w1_instant", w1(arr[:, 0]), 0.0, arr.shape[0]))
         if "w1_timeavg" in wanted:
-            ws = [w1_auto(EmpiricalMeasure(arr[:, 0], geometry=geometry),
-                          oracle_m) for _, arr in window]
-            ws = np.asarray(ws)
+            ws = np.asarray([w1(arr[:, 0]) for _, arr in window])
             se = float(ws.std(ddof=1) / math.sqrt(len(ws))) if len(ws) > 1 else 0.0
             rows.append((t, "w1_timeavg", float(ws.mean()), se, len(ws)))
         if "w1_pooled" in wanted:
             pooled = np.concatenate([arr[:, 0] for _, arr in window])
-            w = w1_auto(EmpiricalMeasure(pooled, geometry=geometry), oracle_m)
-            rows.append((t, "w1_pooled", w, 0.0, pooled.size))
+            rows.append((t, "w1_pooled", w1(pooled), 0.0, pooled.size))
         if "theta_hat" in wanted:
             est = estimate_theta(replace(report, deaths=report.deaths[:upto]), burn)
             rows.append((t, "theta_hat", est.value, est.stderr, est.n_steps))

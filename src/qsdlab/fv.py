@@ -16,10 +16,9 @@ a run's files with them.
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,29 +62,16 @@ class FVConfig:
         if self.max_resurrection_iters < 1:
             raise ValueError("max_resurrection_iters must be at least 1")
 
-    def as_dict(self) -> dict:
-        return {
-            "n_particles": self.n_particles,
-            "n_steps": self.n_steps,
-            "seed": self.seed,
-            "snapshot_stride": self.snapshot_stride,
-            "max_resurrection_iters": self.max_resurrection_iters,
-        }
-
 
 @dataclass
 class FVReport:
-    """Everything a run produced: death counts, snapshots, final states."""
+    """A run: model block, config (seed, N, gamma), deaths, snapshots, final states."""
 
     model: dict
     config: dict
-    seed: int
-    n_particles: int
-    gamma: float
     deaths: np.ndarray
     snapshots: list
     final_states: np.ndarray
-    geometry: str
     elapsed: float = 0.0
 
 
@@ -93,56 +79,27 @@ class FVReport:
 # initial ensembles
 # ---------------------------------------------------------------------------
 
-# closed box holding each geometry's states; the kill family then rules out
-# the points of the box where a particle cannot live
-_STATE_BOX = {"torus": (0.0, 1.0), "interval": (0.0, 1.0),
-              "halfline": (0.0, math.inf)}
-
-
-def _live_states(model: KilledModel, values) -> np.ndarray:
-    """``values`` as an array of engine states, refused unless every state
-    lies in the model's state space and survives with positive probability."""
-    arr = np.array(values, dtype=float)
-    if model.geometry == "finite":
-        arr = arr.reshape(-1)
-        n_states = model.move.chain.n_states
-        if not np.all((arr == np.floor(arr)) & (arr >= 0) & (arr < n_states)):
-            raise ValueError(f"initial states of {model.name} must be integers "
-                             f"in 0..{n_states - 1}, got {values!r}")
-        return arr.astype(np.int64)
-    arr = arr.reshape(-1, model.dim)
-    lo, hi = _STATE_BOX[model.geometry]
-    if not np.all((arr >= lo) & (arr <= hi)):
-        raise ValueError(f"initial states of {model.name} must lie in "
-                         f"[{lo}, {hi}], got {values!r}")
-    if np.any(model.kill.prob(arr, model.gamma) >= 1.0):
-        raise ValueError(f"initial states of {model.name} must lie where a "
-                         f"particle can survive, got {values!r}")
-    return arr
-
-
 def init_states(model: KilledModel, n: int, seed: int, init="uniform") -> np.ndarray:
     """Draw the initial particle array from a sampleable description.
 
-    ``init`` is ``"uniform"`` (uniform over the live space) or a pair
-    ``("dirac", value)``.  A Dirac state is checked against the model's
-    state space (ValueError).
+    ``init`` is ``"uniform"`` (the space's ``uniform`` law) or a pair
+    ``("dirac", value)``.  A Dirac state must be one state of the model's
+    space where a particle survives with positive probability (ValueError).
     """
     if isinstance(init, (tuple, list)) and len(init) == 2 and init[0] == "dirac":
-        arr = _live_states(model, init[1])
+        arr = model.space.states(init[1])
         if arr.shape[0] != 1:
             raise ValueError(f"a Dirac init takes one state, got {init[1]!r}")
+        if np.any(model.kill.prob(arr, model.gamma) >= 1.0):
+            raise ValueError(f"the Dirac state of {model.name} must lie where a "
+                             f"particle can survive, got {init[1]!r}")
         return np.repeat(arr, n, axis=0)
     if not (isinstance(init, str) and init == "uniform"):
         raise ValueError(f"unknown init spec: {init!r}")
     # particle i reads counters 0, 1, ... of the stream (seed, _INIT_STREAM, i)
     keys = _k.derive_keys_np(seed, _INIT_STREAM, np.arange(n, dtype=np.uint64))
-    if model.geometry == "finite":
-        n_states = model.move.chain.n_states
-        u = _k._u01_np(keys, np.zeros(n, dtype=np.uint64))
-        return np.minimum((u * n_states).astype(np.int64), n_states - 1)
-    return np.stack([_k._u01_np(keys, np.full(n, k, dtype=np.uint64))
-                     for k in range(model.dim)], axis=1)
+    return model.space.uniform(
+        lambda k: _k._u01_np(keys, np.full(n, k, dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +128,14 @@ def q_mu_step(model: KilledModel, x, source, rng: Stream,
     return prop, deaths
 
 
-def _sorted_source(model: KilledModel, states: np.ndarray) -> np.ndarray:
-    """Canonically ordered copy of the pre-step states.
+def _sorted_source(states: np.ndarray) -> np.ndarray:
+    """Canonically ordered copy of the pre-step states, rows in lexicographic order.
 
     Resurrection draws index this sorted copy, so the draw depends only on
     the multiset of states; that is what makes label permutation commute
     with a step exactly.
     """
-    if model.geometry == "finite":
-        return np.sort(states)
-    if states.shape[1] == 1:
+    if states.ndim == 1 or states.shape[1] == 1:
         return np.sort(states, axis=0)
     order = np.lexsort(tuple(states[:, k] for k in range(states.shape[1] - 1, -1, -1)))
     return states[order].copy()
@@ -198,14 +153,13 @@ def fv_step_reference(model: KilledModel, states: np.ndarray, seed: int,
     n = states.shape[0]
     if stream_ids is None:
         stream_ids = np.arange(n)
-    src = _sorted_source(model, states)
+    src = _sorted_source(states)
     out = np.empty_like(states)
     deaths = 0
     sid = step_index + 1
     for i in range(n):
         rng = substream(seed, sid, int(stream_ids[i]))
-        new, dd = q_mu_step(model, states[i], src, rng, max_iters=max_iters)
-        out[i] = new
+        out[i], dd = q_mu_step(model, states[i], src, rng, max_iters=max_iters)
         deaths += dd
     return out, deaths
 
@@ -222,7 +176,7 @@ def _run_chunk(model: KilledModel, states: np.ndarray, seed: int, sid0: int,
         return deaths
     step = model.move.kernel(model)
     for s in range(n_steps):
-        src = _sorted_source(model, states)
+        src = _sorted_source(states)
         deaths[s], err = step(states, src, seed, sid0 + s, max_iters)
         if err >= 0:
             raise ResurrectionOverflowError(max_iters, step=sid0 - 1 + s,
@@ -251,12 +205,9 @@ def run_fv(model: KilledModel, config: FVConfig, init="uniform") -> FVReport:
         snapshots.append((done, states.copy()))
     elapsed = time.perf_counter() - t0
     return FVReport(model=model.describe(),
-                    config=dict(config.as_dict(), gamma=model.gamma),
-                    seed=config.seed,
-                    n_particles=config.n_particles, gamma=model.gamma,
+                    config=dict(asdict(config), gamma=model.gamma),
                     deaths=deaths, snapshots=snapshots,
-                    final_states=states.copy(), geometry=model.geometry,
-                    elapsed=elapsed)
+                    final_states=states.copy(), elapsed=elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +252,11 @@ def write_report(report: FVReport, outdir) -> dict:
     write_json(out / "report.json", {
         "model": report.model,
         "config": report.config,
-        "seed": report.seed,
+        "seed": report.config["seed"],
         "backend": "numpy",
-        "n_particles": report.n_particles,
-        "gamma": report.gamma,
-        "geometry": report.geometry,
+        "n_particles": report.config["n_particles"],
+        "gamma": report.config["gamma"],
+        "geometry": report.model["geometry"],
         "deaths_per_step": report.deaths.tolist(),
         "snapshot_steps": [s for s, _ in report.snapshots],
     })

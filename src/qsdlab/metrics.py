@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 
+from .models import Interval, Torus
 from .streams import Stream
 
 __all__ = [
@@ -29,7 +30,7 @@ __all__ = [
 
 @dataclass
 class EmpiricalMeasure:
-    """Weighted atoms with a geometry tag.
+    """Weighted atoms on a state space.
 
     ``support`` is ``(n,)`` or ``(n, d)``; ``weights`` defaults to uniform
     and must sum to one.
@@ -37,7 +38,7 @@ class EmpiricalMeasure:
 
     support: np.ndarray
     weights: Optional[np.ndarray] = None
-    geometry: str = "torus"
+    space: object = Torus()
 
     def __post_init__(self):
         self.support = np.asarray(self.support, dtype=float)
@@ -55,27 +56,23 @@ class EmpiricalMeasure:
             if abs(self.weights.sum() - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12")
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.support.ndim == 1 else self.support.shape[1]
 
-
-def from_particles(states: np.ndarray, geometry: str) -> EmpiricalMeasure:
+def from_particles(states: np.ndarray, space) -> EmpiricalMeasure:
     states = np.asarray(states, dtype=float)
     if states.ndim == 2 and states.shape[1] == 1:
         states = states[:, 0]
-    return EmpiricalMeasure(states, geometry=geometry)
+    return EmpiricalMeasure(states, space=space)
 
 
 def measure_from_density(density, lo: float, hi: float, n: int,
-                         geometry: str = "interval") -> EmpiricalMeasure:
+                         space=Interval()) -> EmpiricalMeasure:
     """Midpoint-cell discretization of a probability density."""
     h = (hi - lo) / n
     x = lo + (np.arange(n) + 0.5) * h
     w = np.asarray(density(x), dtype=float) * h
     w = np.clip(w, 0.0, None)
     w /= w.sum()
-    return EmpiricalMeasure(x, w, geometry=geometry)
+    return EmpiricalMeasure(x, w, space=space)
 
 
 def _flat_1d(m: EmpiricalMeasure) -> np.ndarray:
@@ -101,7 +98,7 @@ def w1_circle(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     rotations; the optimizer is a weighted median of the piecewise-constant
     difference, so the result is exact up to float rounding.
     """
-    if a.geometry != "torus" or b.geometry != "torus":
+    if not (a.space.circle and b.space.circle):
         raise ValueError("w1_circle requires torus geometry on both sides")
     pos, g = _merged_cdf_difference(a, b)
     lengths = np.empty_like(pos)
@@ -125,10 +122,10 @@ def w1_line(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
 
 
 def w1_auto(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """Circle distance on the torus, line distance otherwise."""
-    if a.geometry == "torus":
-        return w1_circle(a, b)
-    return w1_line(a, b)
+    """W1 on the measures' one space: circle on the torus, line otherwise."""
+    if a.space != b.space or a.space.circle is None:
+        raise ValueError(f"w1_auto needs one real space, got {a.space} and {b.space}")
+    return w1_circle(a, b) if a.space.circle else w1_line(a, b)
 
 
 def sliced_w1_torus(a: EmpiricalMeasure, b: EmpiricalMeasure, n_proj: int,
@@ -142,7 +139,7 @@ def sliced_w1_torus(a: EmpiricalMeasure, b: EmpiricalMeasure, n_proj: int,
     """
     if n_proj < 1:
         raise ValueError("n_proj must be at least 1")
-    if a.geometry != "torus" or b.geometry != "torus":
+    if not (a.space.circle and b.space.circle):
         raise ValueError("sliced_w1_torus requires torus geometry")
     sa = np.atleast_2d(a.support.T).T
     sb = np.atleast_2d(b.support.T).T
@@ -157,8 +154,8 @@ def sliced_w1_torus(a: EmpiricalMeasure, b: EmpiricalMeasure, n_proj: int,
             z = np.zeros(d)
             while not z.any():
                 z = np.array([float(rng.pick(7) - 3) for _ in range(d)])
-        pa = EmpiricalMeasure(np.mod(sa @ z, 1.0), a.weights, geometry="torus")
-        pb = EmpiricalMeasure(np.mod(sb @ z, 1.0), b.weights, geometry="torus")
+        pa = EmpiricalMeasure(np.mod(sa @ z, 1.0), a.weights)
+        pb = EmpiricalMeasure(np.mod(sb @ z, 1.0), b.weights)
         vals.append(w1_circle(pa, pb))
     vals = np.array(vals)
     stderr = float(vals.std(ddof=1) / math.sqrt(n_proj)) if n_proj > 1 else 0.0
@@ -183,7 +180,7 @@ def estimate_theta(report, burn_in: int) -> ThetaEstimate:
     if burn_in < 0 or burn_in >= deaths.size:
         raise ValueError("burn_in must leave at least one step")
     kept = deaths[burn_in:]
-    n, gamma = report.n_particles, report.gamma
+    n, gamma = report.config["n_particles"], report.config["gamma"]
     rates = kept / (n * gamma)
     value = float(rates.mean())
     stderr = float(rates.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0

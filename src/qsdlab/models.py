@@ -17,7 +17,7 @@ closed-form quasi-stationary distributions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, partial
 from typing import Callable, Optional
 
@@ -27,6 +27,10 @@ from . import _kernels as _k
 from .streams import Stream
 
 __all__ = [
+    "Torus",
+    "Interval",
+    "HalfLine",
+    "Finite",
     "KilledModel",
     "FiniteKilledChain",
     "ModelEvaluationError",
@@ -71,6 +75,86 @@ class UnsupportedModelError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# state spaces
+# ---------------------------------------------------------------------------
+#
+# One frozen object per state space.  ``name``, ``dim`` and the fields go to
+# the model block of report.json.  ``circle`` picks the W1 of a marginal: the
+# circle distance (True), the line distance (False) or none (None).
+
+class _RealSpace:
+    """``dim`` float coordinates, each finite and in ``[0, hi]``.  The
+    uniform initial law is U(0, 1)^dim on every real space, the half-line
+    included."""
+
+    dim, hi, circle = 1, 1.0, False
+
+    def wrap(self, y: np.ndarray) -> np.ndarray:
+        return y
+
+    def states(self, values) -> np.ndarray:
+        """``values`` as an ``(n, dim)`` array; ValueError unless all are allowed."""
+        arr = np.array(values, dtype=float).reshape(-1, self.dim)
+        if not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr <= self.hi)):
+            raise ValueError(f"{self} holds finite states in [0, {self.hi}], got {values!r}")
+        return arr
+
+    def uniform(self, u01) -> np.ndarray:
+        """Coordinate k is ``u01(k)``, the uniforms at counter k."""
+        return np.stack([u01(k) for k in range(self.dim)], axis=1)
+
+    def point(self, x) -> np.ndarray:
+        """A state of the scalar reference: a length-``dim`` float array."""
+        return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+@dataclass(frozen=True)
+class Torus(_RealSpace):
+    """The d-torus ``[0, 1)^d``: moves wrap, and W1 is the circle distance."""
+
+    dim: int = 1
+    name, circle = "torus", True
+
+    def wrap(self, y: np.ndarray) -> np.ndarray:
+        return y - np.floor(y)
+
+
+@dataclass(frozen=True)
+class Interval(_RealSpace):
+    """The unit interval ``[0, 1]``; W1 is the line distance."""
+
+    name = "interval"
+
+
+@dataclass(frozen=True)
+class HalfLine(_RealSpace):
+    """The half-line ``[0, inf)``; W1 is the line distance."""
+
+    name, hi = "halfline", math.inf
+
+
+@dataclass(frozen=True)
+class Finite:
+    """The states ``0..n_states-1`` of a finite chain: integer labels with no
+    W1 between them.  The uniform initial law is uniform on them."""
+
+    n_states: int
+    name, dim, circle = "finite", 1, None
+
+    def states(self, values) -> np.ndarray:
+        arr = np.array(values, dtype=float).reshape(-1)
+        if not np.all((arr == np.floor(arr)) & (arr >= 0) & (arr < self.n_states)):
+            raise ValueError(f"{self} holds 0..{self.n_states - 1}, got {values!r}")
+        return arr.astype(np.int64)
+
+    def uniform(self, u01) -> np.ndarray:
+        return np.minimum((u01(0) * self.n_states).astype(np.int64), self.n_states - 1)
+
+    def point(self, x) -> int:
+        return int(x)
+
+
+# ---------------------------------------------------------------------------
 # drift and kill families
 # ---------------------------------------------------------------------------
 #
@@ -78,17 +162,14 @@ class UnsupportedModelError(ValueError):
 # points; the particle engine passes whole ensembles, the scalar reference
 # (``propose`` / ``kill_prob``) passes one row and the grid oracle passes
 # its grid.  ``tag`` and ``params`` are the family's entries in the model
-# block of ``report.json``.
+# block of ``report.json``; a drift's ``params`` take the space's ``dim``.
 
 @dataclass(frozen=True)
 class ZeroDrift:
-    dim: int = 1
-
     tag = 0
 
-    @property
-    def params(self) -> tuple:
-        return (0.0,) * self.dim
+    def params(self, dim: int) -> tuple:
+        return (0.0,) * dim
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
@@ -99,13 +180,11 @@ class ConstDrift:
     """The same speed on every coordinate."""
 
     speed: float
-    dim: int = 1
 
     tag = 1
 
-    @property
-    def params(self) -> tuple:
-        return (self.speed,) * self.dim
+    def params(self, dim: int) -> tuple:
+        return (self.speed,) * dim
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.speed, x.shape)
@@ -119,8 +198,7 @@ class SineDrift:
 
     tag = 2
 
-    @property
-    def params(self) -> tuple:
+    def params(self, dim: int) -> tuple:
         return (self.amplitude,)
 
     def drift(self, x: np.ndarray) -> np.ndarray:
@@ -256,14 +334,15 @@ class FiniteKilledChain:
     ``jump_rates[i, j]`` is the rate of jumping i -> j (zero diagonal);
     ``kill_rates[i]`` is the rate of being sent to the cemetery from i.
     The killed generator is ``A = Q - diag(kill_rates)`` where Q is the
-    conservative generator built from the jump rates.
+    conservative generator built from the jump rates.  ``space`` is where
+    ``positions`` lie; it defaults to ``Finite(n_states)``.
     """
 
     jump_rates: np.ndarray
     kill_rates: np.ndarray
     labels: Optional[tuple] = None
     positions: Optional[np.ndarray] = None
-    geometry: str = "finite"
+    space: object = None
     name: str = "chain"
 
     def __post_init__(self):
@@ -280,6 +359,7 @@ class FiniteKilledChain:
             raise ValueError("rates must be nonnegative")
         if np.any(np.diagonal(self.jump_rates) != 0.0):
             raise ValueError("jump_rates must have zero diagonal")
+        self.space = self.space or Finite(n)
 
     @property
     def n_states(self) -> int:
@@ -289,7 +369,7 @@ class FiniteKilledChain:
         """JSON-ready form; dense matrices as row-major nested lists."""
         return {
             "name": self.name,
-            "geometry": self.geometry,
+            "geometry": self.space.name,
             "n_states": self.n_states,
             "jump_rates": [[float(v) for v in row] for row in self.jump_rates],
             "kill_rates": [float(v) for v in self.kill_rates],
@@ -334,7 +414,7 @@ class _Move:
 
 @dataclass(frozen=True)
 class GaussMove(_Move):
-    """``x + gamma*drift(x) + sqrt(gamma)*noise*xi``, wrapped on the torus."""
+    """``x + gamma*drift(x) + sqrt(gamma)*noise*xi``, wrapped by the space."""
 
     drift: object = ZeroDrift()
     noise: float = 1.0
@@ -343,20 +423,15 @@ class GaussMove(_Move):
 
     def kernel(self, model: KilledModel):
         return partial(_k.step_gauss, gamma=model.gamma, drift=self.drift,
-                       kill=model.kill, wrap=model.geometry == "torus",
-                       noise=self.noise)
+                       kill=model.kill, wrap=model.space.wrap, noise=self.noise)
 
     def propose(self, model: KilledModel, x: np.ndarray, rng: Stream) -> np.ndarray:
         sqrtg = math.sqrt(model.gamma)
         b = self.drift.drift(x[None, :])[0]
         if not np.all(np.isfinite(b)):
             raise ModelEvaluationError(f"drift is not finite at {x!r}")
-        out = np.empty(model.dim)
-        for k in range(model.dim):
-            out[k] = x[k] + model.gamma * b[k] + sqrtg * self.noise * rng.normal()
-        if model.geometry == "torus":
-            out -= np.floor(out)
-        return out
+        z = np.array([rng.normal() for _ in range(x.size)])
+        return model.space.wrap(x + model.gamma * b + sqrtg * self.noise * z)
 
 
 @dataclass(frozen=True)
@@ -439,15 +514,12 @@ class KilledModel:
 
     One step proposes with ``move`` (a ``GaussMove``, ``RedrawMove``,
     ``ChainMove`` or ``GrowthFragMove``), then kills the proposal with
-    probability ``kill.prob`` at the proposed point.  A ``"finite"``
-    geometry has integer states ``0..n_states-1`` (the states of its
-    ``ChainMove``'s chain); the other geometries have ``(n, dim)`` float
-    states.
+    probability ``kill.prob`` at the proposed point.  Its states lie in
+    ``space``: integers for a ``ChainMove``'s ``Finite(n)``, else floats.
     """
 
     name: str
-    geometry: str                  # "torus" | "interval" | "finite" | "halfline"
-    dim: int
+    space: object
     gamma: float
     move: object
     kill: object = NoKill()
@@ -458,43 +530,35 @@ class KilledModel:
 
     def describe(self) -> dict:
         kp0, kp1 = self.kill.params
-        d = {
+        return {
             "name": self.name,
-            "geometry": self.geometry,
-            "dim": self.dim,
             "gamma": self.gamma,
             "kind": self.move.tag,
             "drift_id": self.move.drift.tag,
-            "drift_params": [float(v) for v in self.move.drift.params],
+            "drift_params": [float(v) for v in self.move.drift.params(self.space.dim)],
             "kill_id": self.kill.tag,
             "kp0": kp0,
             "kp1": kp1,
             "noise_scale": self.move.noise,
+            "geometry": self.space.name,
+            "dim": self.space.dim,
+            **asdict(self.space),
         }
-        if self.geometry == "finite":
-            d["n_states"] = self.move.chain.n_states
-        return d
 
 
 def propose(model: KilledModel, x, rng: Stream):
     """One proposal move from ``x``; does not evaluate the kill decision.
 
-    Continuous geometries take and return a length-``dim`` float array;
-    finite chains take and return a state index.  The draw accounting
-    matches the particle engine exactly, so a particle step can be replayed
-    with the same stream.
+    ``x`` and the result take the form of the space's ``point``.  The draw
+    accounting matches the particle engine exactly, so a particle step can
+    be replayed with the same stream.
     """
-    if model.geometry == "finite":
-        return model.move.propose(model, int(x), rng)
-    return model.move.propose(model, np.atleast_1d(np.asarray(x, dtype=float)), rng)
+    return model.move.propose(model, model.space.point(x), rng)
 
 
 def kill_prob(model: KilledModel, x_proposed) -> float:
     """Kill probability evaluated at the proposed (post-move) point."""
-    if model.geometry == "finite":
-        row = np.array([int(x_proposed)])
-    else:
-        row = np.atleast_1d(np.asarray(x_proposed, dtype=float))[None, :]
+    row = np.array([model.space.point(x_proposed)])
     return float(model.kill.prob(row, model.gamma)[0])
 
 
@@ -575,22 +639,18 @@ class HouseOfCard(_Preset):
         which is where the degenerate quasi-stationary distributions put an
         atom."""
         x = (np.arange(n_grid) + 0.5) / n_grid
+        kill = self.kill.rate(x[:, None])
+        q = np.full((n_grid, n_grid), 1.0 / n_grid)
+        name = "house_of_card_grid"
         if zero_atom:
             # redraws land in the cells with probability 1/n each and hit
             # the null set {0} with probability zero
             q = np.zeros((n_grid + 1, n_grid + 1))
             q[:, 1:] = 1.0 / n_grid
-            np.fill_diagonal(q, 0.0)
-            kill = np.concatenate([[0.0], self.kill.rate(x[:, None])])
-            return FiniteKilledChain(q, kill,
-                                     positions=np.concatenate([[0.0], x]),
-                                     geometry="interval",
-                                     name="house_of_card_grid_atom")
-        q = np.full((n_grid, n_grid), 1.0 / n_grid)
+            x, kill = np.concatenate([[0.0], x]), np.concatenate([[0.0], kill])
+            name += "_atom"
         np.fill_diagonal(q, 0.0)
-        kill = self.kill.rate(x[:, None])
-        return FiniteKilledChain(q, kill, positions=x, geometry="interval",
-                                 name="house_of_card_grid")
+        return FiniteKilledChain(q, kill, positions=x, space=Interval(), name=name)
 
     def closed_forms(self) -> tuple:
         c, q = self.c, self.q
@@ -612,8 +672,8 @@ class HouseOfCard(_Preset):
                               atom=0.0, atom_weight=w0),)
 
     def model(self, gamma: float) -> KilledModel:
-        return KilledModel(name="house_of_card", geometry="interval", dim=1,
-                           gamma=gamma, move=RedrawMove(), kill=self.kill)
+        return KilledModel(name="house_of_card", space=Interval(), gamma=gamma,
+                           move=RedrawMove(), kill=self.kill)
 
 
 @dataclass(frozen=True)
@@ -667,8 +727,7 @@ class PeriodicShift(_Preset):
     speed: float = 1.0
 
     def model(self, gamma: float) -> KilledModel:
-        return KilledModel(name="periodic_shift", geometry="torus", dim=1,
-                           gamma=gamma,
+        return KilledModel(name="periodic_shift", space=Torus(), gamma=gamma,
                            move=GaussMove(ConstDrift(float(self.speed)), noise=0.0))
 
 
@@ -693,8 +752,7 @@ class GrowthFrag(_Preset):
             raise ValueError("invalid growth_frag parameters")
 
     def model(self, gamma: float) -> KilledModel:
-        return KilledModel(name="growth_frag", geometry="halfline", dim=1,
-                           gamma=gamma,
+        return KilledModel(name="growth_frag", space=HalfLine(), gamma=gamma,
                            move=GrowthFragMove(self.growth, self.frac, self.jump_rate),
                            kill=ConstKill(self.kill_rate))
 
@@ -724,9 +782,9 @@ class TorusDiffusion(_Preset):
         """The ``(drift, kill)`` family objects named by ``drift`` and ``kill``."""
         drift, kill = self.drift, self.kill
         if drift is None:
-            drift_f = ZeroDrift(self.dim)
+            drift_f = ZeroDrift()
         elif isinstance(drift, (int, float)):
-            drift_f = ConstDrift(float(drift), self.dim)
+            drift_f = ConstDrift(float(drift))
         elif isinstance(drift, (tuple, list)) and len(drift) == 2 and drift[0] == "sine":
             if self.dim != 1:
                 raise ValueError("sine drift is one dimensional")
@@ -762,11 +820,11 @@ class TorusDiffusion(_Preset):
         q[i, (i + 1) % n_grid] = rate + np.maximum(b, 0.0) / h
         q[i, (i - 1) % n_grid] = rate + np.maximum(-b, 0.0) / h
         return FiniteKilledChain(q, kill.rate(x[:, None]), positions=x,
-                                 geometry="torus", name="torus_diffusion_grid")
+                                 space=Torus(), name="torus_diffusion_grid")
 
     def model(self, gamma: float) -> KilledModel:
         drift, kill = self.families()
-        return KilledModel(name="torus_diffusion", geometry="torus", dim=self.dim,
+        return KilledModel(name="torus_diffusion", space=Torus(self.dim),
                            gamma=gamma, move=GaussMove(drift), kill=kill)
 
 
@@ -787,7 +845,7 @@ class IntervalBrownian(_Preset):
         q[i, i + 1] = q[i + 1, i] = rate
         kill = np.zeros(n_grid)
         kill[[0, -1]] = rate
-        return FiniteKilledChain(q, kill, positions=x, geometry="interval",
+        return FiniteKilledChain(q, kill, positions=x, space=Interval(),
                                  name="interval_brownian_grid")
 
     def closed_forms(self) -> tuple:
@@ -796,8 +854,8 @@ class IntervalBrownian(_Preset):
                               density=dens),)
 
     def model(self, gamma: float) -> KilledModel:
-        return KilledModel(name="interval_brownian", geometry="interval", dim=1,
-                           gamma=gamma, move=GaussMove(), kill=IntervalKill(0.0, 1.0))
+        return KilledModel(name="interval_brownian", space=Interval(), gamma=gamma,
+                           move=GaussMove(), kill=IntervalKill(0.0, 1.0))
 
 
 def discrete_model(chain: FiniteKilledChain, gamma: float, name: str = "finite") -> KilledModel:
@@ -808,7 +866,7 @@ def discrete_model(chain: FiniteKilledChain, gamma: float, name: str = "finite")
     probability ``1 - exp(-gamma * kill_rate)``.  The matching one-step
     reference kernel is ``expm(gamma*Q) @ diag(exp(-gamma*kill))``.
     """
-    return KilledModel(name=name, geometry="finite", dim=1, gamma=gamma,
+    return KilledModel(name=name, space=Finite(chain.n_states), gamma=gamma,
                        move=ChainMove(chain), kill=StateKill(chain.kill_rates))
 
 
@@ -861,7 +919,7 @@ def build_preset(name: str, params: dict):
 class ClosedFormQsd:
     """A quasi-stationary distribution in closed form.
 
-    Either finite-state ``weights``, or a ``density`` on ``(lo, hi)``,
+    Either finite-state ``weights``, or a ``density`` on the unit interval,
     optionally with a point mass ``atom_weight`` at ``atom``.
     """
 
@@ -869,8 +927,6 @@ class ClosedFormQsd:
     regime: str
     weights: Optional[np.ndarray] = None
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    lo: float = 0.0
-    hi: float = 1.0
     atom: Optional[float] = None
     atom_weight: float = 0.0
 
@@ -880,7 +936,7 @@ class ClosedFormQsd:
         from scipy.integrate import quad
 
         val, _ = quad(lambda x: float(self.density(np.array([x]))[0]),
-                      self.lo, self.hi, epsabs=1e-10, epsrel=1e-10, limit=200)
+                      0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
         return float(val)
 
 

@@ -23,7 +23,7 @@ def interval_oracle():
 @pytest.fixture(scope="session")
 def interval_oracle_measure(interval_oracle):
     chain, _, trip = interval_oracle
-    return EmpiricalMeasure(chain.positions, trip.gamma_left, geometry="interval")
+    return EmpiricalMeasure(chain.positions, trip.gamma_left, space=q.Interval())
 
 
 @pytest.fixture(scope="session")

@@ -73,8 +73,8 @@ def test_c02_house_of_card(house_oracle):
         pooled = np.concatenate(
             [s[:, 0] for st, s in rep.snapshots if st > 10_000])
         target = measure_from_density(closed.density, 0.0, 1.0, 4000,
-                                      geometry="interval")
-        w = w1_line(EmpiricalMeasure(pooled, geometry="interval"), target)
+                                      space=q.Interval())
+        w = w1_line(EmpiricalMeasure(pooled, space=q.Interval()), target)
         assert w <= 0.02
         est = estimate_theta(rep, burn_in=10_000)
         assert abs(est.value - HOUSE_THETA) <= 0.01
@@ -86,7 +86,7 @@ def test_c03_interval_brownian(interval_oracle, interval_oracle_measure):
         assert abs(trip.theta - DIRICHLET_THETA) / DIRICHLET_THETA < 0.005
         ref = measure_from_density(
             lambda x: (math.pi / 2.0) * np.sin(math.pi * x), 0.0, 1.0, 20_000,
-            geometry="interval")
+            space=q.Interval())
         assert w1_line(interval_oracle_measure, ref) < 1e-3
 
         gamma = 2e-4
@@ -135,7 +135,7 @@ def test_c05_fluctuation_rate_in_particle_count(interval_oracle_measure):
                 rep = run_fv(model, FVConfig(n_particles=n, n_steps=total,
                                              seed=1000 + seed,
                                              snapshot_stride=stride))
-                ws = [w1_line(EmpiricalMeasure(s[:, 0], geometry="interval"),
+                ws = [w1_line(EmpiricalMeasure(s[:, 0], space=q.Interval()),
                               interval_oracle_measure)
                       for st, s in rep.snapshots if st > burn_steps]
                 vals.append(np.mean(ws))
@@ -163,7 +163,7 @@ def test_c06_step_size_bias_rate(interval_oracle_measure):
                 pooled_runs.append(np.concatenate(
                     [s[:, 0] for st, s in rep.snapshots if st > nb]))
             pooled = np.concatenate(pooled_runs)
-            vals.append(w1_line(EmpiricalMeasure(pooled, geometry="interval"),
+            vals.append(w1_line(EmpiricalMeasure(pooled, space=q.Interval()),
                                 interval_oracle_measure))
         fit = fit_power_law(gammas, vals)
         print(f"\n  C6 detail: biases={np.round(vals, 5).tolist()} "

@@ -102,7 +102,9 @@ def test_unknown_key_and_preset_and_params(tmp_path):
             ("two_point", {"a": 1.0, "b": 2.0}, ["dirac", 0.5]),
             ("interval_brownian", {}, ["dirac", 2.0]),
             ("interval_brownian", {}, ["dirac", 0.0]),
-            ("interval_brownian", {}, "bogus"))):
+            ("interval_brownian", {}, "bogus"),
+            # json reads Infinity; the half-line holds finite states only
+            ("growth_frag", {"kill_rate": 0.5}, ["dirac", math.inf]))):
         cfg = _write(tmp_path, f"init{i}.json", {
             **simulate, "model": {"name": name, "params": params},
             "fv": {**fv, "init": init, "max_resurrection_iters": 10}})

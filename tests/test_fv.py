@@ -307,7 +307,7 @@ def test_two_torus_constant_kill_keeps_uniform_law():
 
 def test_kernel_path_overflow_is_annotated():
     # proposals of standard deviation 10 almost never land in (0.4, 0.6)
-    model = q.KilledModel(name="narrow", geometry="interval", dim=1,
+    model = q.KilledModel(name="narrow", space=q.Interval(),
                           gamma=100.0, move=q.GaussMove(),
                           kill=q.IntervalKill(0.4, 0.6))
     cfg = FVConfig(n_particles=8, n_steps=3, seed=1, snapshot_stride=1,

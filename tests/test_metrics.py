@@ -17,6 +17,7 @@ from qsdlab.metrics import (
     tv_hist,
     w1_circle,
     w1_line,
+    w1_auto,
 )
 from qsdlab.oracle import killed_semigroup, perron_triplet, spectral_gap
 from qsdlab.streams import substream
@@ -105,10 +106,13 @@ def test_rotation_invariance():
 
 
 def test_geometry_mismatch_rejected():
-    a = EmpiricalMeasure(np.array([0.1]), geometry="torus")
-    b = EmpiricalMeasure(np.array([0.2]), geometry="interval")
+    a = EmpiricalMeasure(np.array([0.1]), space=q.Torus())
+    b = EmpiricalMeasure(np.array([0.2]), space=q.Interval())
     with pytest.raises(ValueError):
         w1_circle(a, b)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError):
+            w1_auto(x, y)
 
 
 def test_empirical_sampling_rate_matches_dimension_one():
@@ -126,8 +130,8 @@ def test_empirical_sampling_rate_matches_dimension_one():
 
 
 def test_w1_line_against_explicit_cdf_integral():
-    a = EmpiricalMeasure(np.array([0.2, 0.8]), geometry="interval")
-    b = EmpiricalMeasure(np.array([0.5]), geometry="interval")
+    a = EmpiricalMeasure(np.array([0.2, 0.8]), space=q.Interval())
+    b = EmpiricalMeasure(np.array([0.5]), space=q.Interval())
     assert abs(w1_line(a, b) - 0.3) < 1e-15
 
 
@@ -296,5 +300,5 @@ def test_measure_from_density_normalizes():
 
 
 def test_from_particles_flattens_columns():
-    m = from_particles(np.array([[0.1], [0.2]]), "torus")
+    m = from_particles(np.array([[0.1], [0.2]]), q.Torus())
     assert m.support.shape == (2,)

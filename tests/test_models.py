@@ -23,7 +23,7 @@ def _torus_model(gamma, drift=None, kill=None, dim=1):
 
 
 def _draw_proposals(model, x, n, seed=0):
-    out = np.empty((n, model.dim))
+    out = np.empty((n, model.space.dim))
     for i in range(n):
         out[i] = propose(model, x, substream(seed, 1, i))
     return out

@@ -265,8 +265,8 @@ def test_interval_grid_dirichlet_ground_state(interval_oracle):
     target = math.pi ** 2 / 2.0
     assert abs(trip.theta - target) / target < 0.005
     ref = measure_from_density(lambda x: (math.pi / 2) * np.sin(math.pi * x),
-                               0.0, 1.0, 20000, geometry="interval")
-    got = EmpiricalMeasure(chain.positions, trip.gamma_left, geometry="interval")
+                               0.0, 1.0, 20000, space=q.Interval())
+    got = EmpiricalMeasure(chain.positions, trip.gamma_left, space=q.Interval())
     assert w1_line(got, ref) < 1e-3
 
 
