@@ -15,9 +15,9 @@ from qsdlab.metrics import (
     sliced_w1_torus,
     tv_finite,
     tv_hist,
+    w1_auto,
     w1_circle,
     w1_line,
-    w1_auto,
 )
 from qsdlab.oracle import killed_semigroup, perron_triplet, spectral_gap
 from qsdlab.streams import substream
@@ -110,7 +110,9 @@ def test_geometry_mismatch_rejected():
     b = EmpiricalMeasure(np.array([0.2]), space=q.Interval())
     with pytest.raises(ValueError):
         w1_circle(a, b)
-    for x, y in ((a, b), (b, a)):
+    # a finite chain's states are labels: no W1 applies to them
+    c = EmpiricalMeasure(np.array([1.0]), space=q.Finite(2))
+    for x, y in ((a, b), (b, a), (c, c)):
         with pytest.raises(ValueError):
             w1_auto(x, y)
 
