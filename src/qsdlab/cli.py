@@ -56,9 +56,8 @@ from .oracle import (
     UnsupportedModelError,
     default_horizon,
     grid_generator,
-    killed_semigroup,
     list_qsds,
-    perron_triplet,
+    spectrum,
     survival_curve,
 )
 
@@ -134,14 +133,14 @@ def _chain_for(preset, section: dict):
 
 
 def _spectrum(cfg: ExperimentConfig, section: dict):
-    """``(preset, chain, t0, M, triplet)``: the preset's chain, its semigroup
-    ``M`` at the section's ``t0`` (else the preset's horizon, else the
-    chain's default) and the Perron triplet of ``M``."""
+    """``(preset, chain, t0, M, triplet)``: the preset's chain, the
+    section's ``t0`` (else the preset's horizon, else the chain's default)
+    and ``oracle.spectrum(chain, t0)``, whose ``M`` is None on the generator
+    path."""
     preset = cfg.preset()
     chain = _chain_for(preset, section)
     t0 = float(section.get("t0", preset.horizon or default_horizon(chain)))
-    m = killed_semigroup(chain, t0)
-    return preset, chain, t0, m, perron_triplet(m)
+    return (preset, chain, t0, *spectrum(chain, t0))
 
 
 def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
@@ -181,7 +180,9 @@ def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
         ]
     n_surv = cfg.oracle.get("survival_steps", 50)
     if comps:
-        surv = survival_curve(m, comps[0].qsd, n_surv)
+        # started from the QSD, survival over k horizons is exactly rho**k
+        surv = (trip.rho ** np.arange(1, n_surv + 1) if m is None
+                else survival_curve(m, comps[0].qsd, n_surv))
         payload["survival_from_qsd"] = surv.tolist()
     if chain.n_states <= 256:  # grids would dump megabytes of matrix
         payload["chain"] = chain.as_dict()

@@ -3,13 +3,24 @@
 The finite chain comes from the preset (``grid_generator`` asks it for
 ``preset.chain(n_grid)``); this module knows no preset.
 
-The killed semigroup matrix ``M = exp(t*A)`` is computed by uniformization,
-which keeps entries nonnegative exactly; for stiff generators the horizon is
-halved until the uniformization mean is modest and the result is squared
-back up (squaring a nonnegative substochastic matrix preserves both
-properties).  Eigen-elements come from power iteration on ``M`` and its
-transpose, which is the ground truth every stochastic output is tested
-against.
+``spectrum(chain, t0)`` is the one place that picks how eigen-elements are
+computed, and ``oracle`` and ``sweep`` both call it:
+
+- A chain of one communicating class with more than 512 states and fewer
+  than 5 % nonzero generator entries (a 1-D diffusion grid, say) takes the
+  generator path: ``generator_triplet`` factors the sparse generator once and
+  runs shift-invert Arnoldi for the right and left Perron vectors.  No
+  semigroup matrix is built, and the survival curve from the QSD is
+  ``rho**k`` exactly.
+- Every other chain (small chains, the dense rank-1 redraw grid, reducible
+  chains of any size, whose QSD list needs ``M``) builds the killed
+  semigroup matrix ``M = exp(t*A)`` and runs power iteration on it.
+
+``M`` is computed by uniformization, which keeps entries nonnegative
+exactly; for stiff generators the horizon is halved until the
+uniformization mean is modest and the result is squared back up (squaring a
+nonnegative substochastic matrix preserves both properties).  Harris
+certificates also run on ``M``.
 
 The class and period analysis of the support graph runs once per matrix, in
 ``perron_triplet``; ``list_qsds`` takes the classes from its result, and an
@@ -25,6 +36,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.linalg import LinearOperator, eigs, splu
 
 from .models import FiniteKilledChain, UnsupportedModelError
 
@@ -40,6 +52,8 @@ __all__ = [
     "conditional_law_step",
     "iterate_conditional",
     "perron_triplet",
+    "generator_triplet",
+    "spectrum",
     "list_qsds",
     "grid_generator",
     "survival_curve",
@@ -48,6 +62,7 @@ __all__ = [
 
 _POISSON_TAIL = 1e-12
 _UNIF_MEAN_CAP = 64.0
+_SHIFT = 1e-6  # generator-path shift, in units of the uniformization rate
 
 
 class ExtinctionUnderflowError(ArithmeticError):
@@ -197,6 +212,14 @@ def default_horizon(chain: FiniteKilledChain) -> float:
     return 10.0 / lam if lam > 0 else 1.0
 
 
+def _is_sparse(mat: np.ndarray) -> bool:
+    """More than 512 states and fewer than 5 % nonzero entries: the test for
+    the sparse uniformization sum and for the generator path of
+    ``spectrum``."""
+    n = mat.shape[0]
+    return n > 512 and np.count_nonzero(mat) < 0.05 * n * n
+
+
 def _uniformization_sum(p_sub: np.ndarray, weights: np.ndarray) -> np.ndarray:
     n = p_sub.shape[0]
     # redraw-type rows make P = diag + 1 u^T (off-diagonal entries constant
@@ -208,7 +231,7 @@ def _uniformization_sum(p_sub: np.ndarray, weights: np.ndarray) -> np.ndarray:
         col_lo = np.nanmin(off, axis=0)
         col_hi = np.nanmax(off, axis=0)
         rank1 = bool(np.all(col_hi - col_lo <= 1e-15 * max(col_hi.max(), 1.0)))
-    sparse = (not rank1) and n > 512 and np.count_nonzero(p_sub) < 0.05 * n * n
+    sparse = (not rank1) and _is_sparse(p_sub)
 
     s = weights[0] * np.eye(n)
     if rank1:
@@ -347,6 +370,70 @@ def perron_triplet(m: KilledSemigroupMatrix, tol: float = 1e-12,
                         iterations=iterations, converged=converged)
 
 
+def generator_triplet(chain: FiniteKilledChain, t0: float) -> EigenTriplet:
+    """Eigen-elements of ``exp(t0 A)`` from the sparse generator ``A``.
+
+    ``A - sigma I`` is factored once (``splu``), with ``sigma`` a small
+    positive shift (1e-6 of the uniformization rate) that keeps a kill-free
+    generator invertible.  Shift-invert Arnoldi (``eigs``, one eigenvalue,
+    a fixed start vector) then finds the eigenvalue nearest ``sigma``, which
+    for an irreducible chain is the Perron eigenvalue ``-theta``: once with
+    ``lu.solve`` for the right vector ``h``, once with the transposed solve
+    for the left vector.  The chain must be one communicating class;
+    ``spectrum`` checks that.  The residuals are those of the generator
+    equation relative to the uniformization rate, which bounds the row sums
+    of ``|A|`` as 1 bounds those of ``M`` on the semigroup path, and
+    ``iterations`` counts the LU solves.
+    """
+    if t0 <= 0:
+        raise ValueError("horizon must be positive")
+    n = chain.n_states
+    a = sp.csc_matrix(chain.generator())
+    rate = chain.uniformization_rate()
+    sigma = _SHIFT * rate
+    lu = splu(a - sigma * sp.identity(n, format="csc"))
+    solves = 0
+
+    def perron(mat, trans):
+        def solve(x):
+            nonlocal solves
+            solves += 1
+            return lu.solve(x, trans=trans)
+
+        op = LinearOperator((n, n), matvec=solve, dtype=float)
+        vals, vecs = eigs(mat, k=1, sigma=sigma, OPinv=op, v0=np.ones(n))
+        v = vecs[:, 0].real
+        return vals[0].real, np.clip(v if v.sum() > 0 else -v, 0.0, None)
+
+    lam, h = perron(a, "N")
+    _, gamma = perron(a.T, "T")
+    gamma /= gamma.sum()
+    h /= float(gamma @ h)
+    res_left = np.abs(a.T @ gamma - lam * gamma).sum() / rate
+    res_right = np.abs(a @ h - lam * h).sum() / (rate * np.abs(h).sum())
+    theta = max(-lam, 0.0)
+    return EigenTriplet(theta=theta, h=h, gamma_left=gamma,
+                        rho=math.exp(-theta * t0), t0=t0,
+                        residual_left=float(res_left), residual_right=float(res_right),
+                        iterations=solves, converged=True)
+
+
+def spectrum(chain: FiniteKilledChain, t0: float) -> tuple:
+    """``(M, triplet)`` of ``chain`` at horizon ``t0``.
+
+    A sparse chain (more than 512 states, fewer than 5 % nonzero generator
+    entries) of one communicating class gets ``(None, generator_triplet)``.
+    Any other chain gets its semigroup ``M = killed_semigroup(chain, t0)``
+    and ``perron_triplet(M)``, which is a ``ReducibilityDiagnostic`` for a
+    chain that is not primitive.
+    """
+    a = chain.generator()
+    if _is_sparse(a) and len(_communicating_classes(sp.csr_matrix(a))) == 1:
+        return None, generator_triplet(chain, t0)
+    m = killed_semigroup(chain, t0)
+    return m, perron_triplet(m)
+
+
 def _nonneg_null_vectors(mat: np.ndarray, rho: float, left: bool) -> list:
     """Nonnegative (left or right) eigenvectors of ``mat`` for eigenvalue rho."""
     a = (mat.T if left else mat) - rho * np.eye(mat.shape[0])
@@ -371,7 +458,8 @@ def list_qsds(m: KilledSemigroupMatrix, trip=None) -> list:
 
     ``trip`` is ``perron_triplet(m)`` when the caller already has it; it is
     computed here otherwise.  For a primitive chain the answer is the single
-    dominant triplet.  Otherwise each communicating class of the diagnostic
+    dominant triplet, and ``m`` is not read (``spectrum`` passes None for it
+    on the generator path).  Otherwise each communicating class of the diagnostic
     contributes its local Perron value; the class's QSD is the nonnegative
     left eigenvector of the full matrix at that value, when one exists.
     Components are sorted by extinction rate (slowest first).
@@ -380,7 +468,7 @@ def list_qsds(m: KilledSemigroupMatrix, trip=None) -> list:
         trip = perron_triplet(m)
     if isinstance(trip, EigenTriplet):
         return [QsdComponent(theta=trip.theta, qsd=trip.gamma_left,
-                             class_states=np.arange(m.n_states), h=trip.h)]
+                             class_states=np.arange(trip.h.size), h=trip.h)]
     mat = m.M
     comps = []
     seen = []

@@ -7,16 +7,17 @@ import pytest
 import qsdlab as q
 from qsdlab.cli import main as cli_main
 from qsdlab.metrics import EmpiricalMeasure
-from qsdlab.oracle import grid_generator, killed_semigroup, perron_triplet
+from qsdlab.oracle import grid_generator, killed_semigroup, perron_triplet, spectrum
 
 
 @pytest.fixture(scope="session")
 def interval_oracle():
-    """Grid reference for the hard-killed interval: (chain, M, triplet)."""
+    """Grid reference for the hard-killed interval: (chain, M, triplet),
+    from ``spectrum`` as in ``qsdlab oracle``.  The 2000-cell grid takes
+    the generator path, so M is None."""
     chain = grid_generator(q.IntervalBrownian(), 2000)
-    m = killed_semigroup(chain, 0.06)
-    trip = perron_triplet(m)
-    assert trip.converged
+    m, trip = spectrum(chain, 0.06)
+    assert m is None and trip.converged
     return chain, m, trip
 
 

@@ -288,6 +288,35 @@ def test_oracle_json_includes_small_chain_payload(tmp_path):
     assert chain["labels"] == ["dying", "transient"]
 
 
+def test_oracle_on_a_large_sparse_grid_takes_the_generator_path(tmp_path):
+    # 600 cells take the generator eigensolve and 64 the semigroup; both
+    # write the same keys, except the chain itself, written up to 256 states
+    docs = {}
+    for n_grid, run in ((64, "a"), (600, "a"), (600, "b")):
+        out = tmp_path / f"{n_grid}{run}"
+        cfg = _write(tmp_path, f"c{n_grid}{run}.json", {
+            "mode": "oracle",
+            "model": {"name": "interval_brownian", "params": {}},
+            "output_dir": str(out),
+            "oracle": {"n_grid": n_grid},
+        })
+        assert main(["oracle", "--config", cfg]) == EXIT_OK
+        docs[n_grid, run] = json.loads((out / "oracle.json").read_text())
+    doc = docs[600, "a"]
+    assert set(doc) == set(docs[64, "a"]) - {"chain"}
+    assert set(doc["triplet"]) == set(docs[64, "a"]["triplet"])
+    assert doc["n_states"] == 600 and doc["primitive"] is True
+    trip = doc["triplet"]
+    assert abs(trip["theta"] - math.pi ** 2 / 2) < 5e-3
+    assert trip["converged"] is True
+    n_surv = len(doc["survival_from_qsd"])
+    np.testing.assert_array_equal(doc["survival_from_qsd"],
+                                  trip["rho"] ** np.arange(1, n_surv + 1))
+    for name in ("oracle.json", "qsd.csv"):
+        assert (tmp_path / "600a" / name).read_bytes() == \
+            (tmp_path / "600b" / name).read_bytes()
+
+
 def test_sweep_summary_slope_in_band(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "mode": "sweep",

@@ -296,6 +296,27 @@ def test_measure_validation():
         EmpiricalMeasure(np.array([0.1, 0.2]), np.array([1.1, -0.1]))
 
 
+def test_measure_refuses_atoms_outside_its_space():
+    # a NaN atom made w1_auto return nan, and an atom at 7.0 on the interval
+    # made it return 6.5
+    ref = EmpiricalMeasure(np.array([0.5]), space=q.Interval())
+    for bad in ([math.nan, 0.5], [7.0], [-0.1], [math.inf]):
+        with pytest.raises(ValueError):
+            w1_auto(EmpiricalMeasure(np.array(bad), space=q.Interval()), ref)
+    for space in (q.Torus(), q.HalfLine(), q.Finite(3)):
+        with pytest.raises(ValueError):
+            EmpiricalMeasure(np.array([0.5, math.nan]), space=space)
+    with pytest.raises(ValueError):
+        EmpiricalMeasure(np.array([1.5]), space=q.Torus())
+    with pytest.raises(ValueError):
+        EmpiricalMeasure(np.array([-1e-9]), space=q.HalfLine())
+    # the closed ends and a far half-line atom are allowed
+    assert w1_auto(EmpiricalMeasure(np.array([0.0, 1.0]), space=q.Interval()),
+                   ref) == 0.5
+    EmpiricalMeasure(np.array([7.0]), space=q.HalfLine())
+    EmpiricalMeasure(np.array([1.0]), space=q.Torus())
+
+
 def test_measure_from_density_normalizes():
     m = measure_from_density(lambda x: np.sin(math.pi * x), 0, 1, 500)
     assert abs(m.weights.sum() - 1.0) < 1e-12

@@ -9,15 +9,18 @@ from qsdlab.metrics import EmpiricalMeasure, measure_from_density, tv_finite, w1
 from qsdlab.oracle import (
     EigenTriplet,
     ExtinctionUnderflowError,
+    KilledSemigroupMatrix,
     ReducibilityDiagnostic,
     UnsupportedModelError,
     conditional_law_step,
+    generator_triplet,
     grid_generator,
     iterate_conditional,
     killed_semigroup,
     list_qsds,
     perron_triplet,
     spectral_gap,
+    spectrum,
     survival_curve,
 )
 from qsdlab.streams import substream
@@ -297,6 +300,66 @@ def test_grid_generator_rejects_unsupported():
         grid_generator(q.TorusDiffusion(dim=2), 100)
     with pytest.raises(ValueError):
         grid_generator(q.IntervalBrownian(), 8)
+
+
+# ---------------------------------------------------------------------------
+# generator path
+# ---------------------------------------------------------------------------
+
+SINE_COSINE_TORUS = q.TorusDiffusion(dim=1, drift=("sine", 0.75),
+                                     kill=("cosine", 1.0, 1.0))
+
+
+@pytest.mark.parametrize("preset, t0", [(q.IntervalBrownian(), 0.06),
+                                        (SINE_COSINE_TORUS, 0.25)],
+                         ids=["interval", "sine_cosine_torus"])
+def test_generator_triplet_matches_power_iteration(preset, t0):
+    chain = grid_generator(preset, 600)
+    gen = generator_triplet(chain, t0)
+    dense = perron_triplet(killed_semigroup(chain, t0))
+    assert gen.converged and dense.converged
+    assert abs(gen.theta - dense.theta) / dense.theta < 1e-7
+    assert gen.rho == math.exp(-gen.theta * t0)
+    assert tv_finite(gen.gamma_left, dense.gamma_left) < 1e-10
+    assert np.max(np.abs(gen.h - dense.h)) < 1e-9
+    assert gen.gamma_left.sum() == pytest.approx(1.0, abs=1e-14)
+    gen.validate()
+
+
+def test_generator_triplet_of_kill_free_torus_is_uniform():
+    chain = grid_generator(q.TorusDiffusion(dim=1), 600)
+    m, trip = spectrum(chain, 0.25)
+    assert m is None
+    assert 0.0 <= trip.theta <= 1e-10 and trip.rho == 1.0
+    assert tv_finite(trip.gamma_left, np.full(600, 1 / 600)) < 1e-10
+
+
+def test_spectrum_keeps_the_semigroup_for_reducible_and_small_chains():
+    # two disjoint rings of 300 states: a sparse chain above 512 states
+    # whose QSD list needs M
+    n = 300
+    rates = np.zeros((2 * n, 2 * n))
+    for base in (0, n):
+        i = base + np.arange(n)
+        j = base + (np.arange(n) + 1) % n
+        rates[i, j] = rates[j, i] = 1.0
+    chain = q.FiniteKilledChain(rates, np.repeat([0.5, 1.0], n))
+    m, diag = spectrum(chain, 1.0)
+    assert isinstance(m, KilledSemigroupMatrix)
+    assert isinstance(diag, ReducibilityDiagnostic)
+    assert [len(c) for c in diag.classes] == [n, n]
+    # 512 states is not above the size limit
+    m, trip = spectrum(grid_generator(q.IntervalBrownian(), 512), 0.06)
+    assert isinstance(m, KilledSemigroupMatrix) and isinstance(trip, EigenTriplet)
+    assert spectrum(grid_generator(q.IntervalBrownian(), 513), 0.06)[0] is None
+
+
+def test_generator_triplet_is_bitwise_repeatable():
+    chain = grid_generator(SINE_COSINE_TORUS, 600)
+    a, b = generator_triplet(chain, 0.25), generator_triplet(chain, 0.25)
+    assert a.theta == b.theta and a.iterations == b.iterations
+    assert a.h.tobytes() == b.h.tobytes()
+    assert a.gamma_left.tobytes() == b.gamma_left.tobytes()
 
 
 # ---------------------------------------------------------------------------
