@@ -212,12 +212,11 @@ def default_horizon(chain: FiniteKilledChain) -> float:
     return 10.0 / lam if lam > 0 else 1.0
 
 
-def _is_sparse(mat: np.ndarray) -> bool:
-    """More than 512 states and fewer than 5 % nonzero entries: the test for
-    the sparse uniformization sum and for the generator path of
-    ``spectrum``."""
-    n = mat.shape[0]
-    return n > 512 and np.count_nonzero(mat) < 0.05 * n * n
+def _is_sparse(n: int, nnz: int) -> bool:
+    """More than 512 states and fewer than 5 % of ``n*n`` entries nonzero:
+    the test for the sparse uniformization sum and for the generator path
+    of ``spectrum``."""
+    return n > 512 and nnz < 0.05 * n * n
 
 
 def _uniformization_sum(p_sub: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -231,7 +230,7 @@ def _uniformization_sum(p_sub: np.ndarray, weights: np.ndarray) -> np.ndarray:
         col_lo = np.nanmin(off, axis=0)
         col_hi = np.nanmax(off, axis=0)
         rank1 = bool(np.all(col_hi - col_lo <= 1e-15 * max(col_hi.max(), 1.0)))
-    sparse = (not rank1) and _is_sparse(p_sub)
+    sparse = (not rank1) and _is_sparse(n, np.count_nonzero(p_sub))
 
     s = weights[0] * np.eye(n)
     if rank1:
@@ -388,7 +387,7 @@ def generator_triplet(chain: FiniteKilledChain, t0: float) -> EigenTriplet:
     if t0 <= 0:
         raise ValueError("horizon must be positive")
     n = chain.n_states
-    a = sp.csc_matrix(chain.generator())
+    a = _sparse_generator(chain)
     rate = chain.uniformization_rate()
     sigma = _SHIFT * rate
     lu = splu(a - sigma * sp.identity(n, format="csc"))
@@ -427,11 +426,23 @@ def spectrum(chain: FiniteKilledChain, t0: float) -> tuple:
     and ``perron_triplet(M)``, which is a ``ReducibilityDiagnostic`` for a
     chain that is not primitive.
     """
-    a = chain.generator()
-    if _is_sparse(a) and len(_communicating_classes(sp.csr_matrix(a))) == 1:
+    if _one_sparse_class(chain):
         return None, generator_triplet(chain, t0)
     m = killed_semigroup(chain, t0)
     return m, perron_triplet(m)
+
+
+def _sparse_generator(chain: FiniteKilledChain) -> sp.csc_matrix:
+    """``A = Q - diag(kill_rates)`` as a sparse matrix, without a dense copy."""
+    q = sp.csr_matrix(chain.jump_rates)
+    outflow = np.asarray(q.sum(axis=1)).ravel() + chain.kill_rates
+    return (q - sp.diags(outflow)).tocsc()
+
+
+def _one_sparse_class(chain: FiniteKilledChain) -> bool:
+    """Whether ``spectrum`` takes the generator path for ``chain``."""
+    a = _sparse_generator(chain)
+    return _is_sparse(chain.n_states, a.nnz) and len(_communicating_classes(a)) == 1
 
 
 def _nonneg_null_vectors(mat: np.ndarray, rho: float, left: bool) -> list:
