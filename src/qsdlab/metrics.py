@@ -44,11 +44,13 @@ class EmpiricalMeasure:
         self.support = np.asarray(self.support, dtype=float)
         if self.support.size == 0:
             raise ValueError("support must be nonempty")
-        if not np.all(np.isfinite(self.support)):
+        # min and max are NaN when any atom is
+        lo, top = float(self.support.min()), float(self.support.max())
+        if not (math.isfinite(lo) and math.isfinite(top)):
             raise ValueError("atoms must be finite")
         # a real space holds [0, hi]: [0, 1] on the torus and the interval
         hi = getattr(self.space, "hi", None)
-        if hi is not None and not np.all((self.support >= 0.0) & (self.support <= hi)):
+        if hi is not None and (lo < 0.0 or top > hi):
             raise ValueError(f"atoms must lie in [0, {hi}] on {self.space}")
         if self.weights is None:
             n = self.support.shape[0]
