@@ -58,6 +58,7 @@ from .oracle import (
     killed_semigroup,
     list_qsds,
     perron_triplet,
+    spectrum,
     survival_curve,
 )
 from .streams import Stream, substream
