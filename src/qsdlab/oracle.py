@@ -212,11 +212,12 @@ def default_horizon(chain: FiniteKilledChain) -> float:
     return 10.0 / lam if lam > 0 else 1.0
 
 
-def _is_sparse(n: int, nnz: int) -> bool:
-    """More than 512 states and fewer than 5 % of ``n*n`` entries nonzero:
-    the test for the sparse uniformization sum and for the generator path
-    of ``spectrum``."""
-    return n > 512 and nnz < 0.05 * n * n
+def _is_sparse(mat) -> bool:
+    """More than 512 states and fewer than 5 % nonzero entries in ``mat``
+    (dense or sparse): the test for the sparse uniformization sum and for
+    the generator path of ``spectrum``."""
+    n = mat.shape[0]
+    return n > 512 and (mat.nnz if sp.issparse(mat) else np.count_nonzero(mat)) < 0.05 * n * n
 
 
 def _uniformization_sum(p_sub: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -230,7 +231,7 @@ def _uniformization_sum(p_sub: np.ndarray, weights: np.ndarray) -> np.ndarray:
         col_lo = np.nanmin(off, axis=0)
         col_hi = np.nanmax(off, axis=0)
         rank1 = bool(np.all(col_hi - col_lo <= 1e-15 * max(col_hi.max(), 1.0)))
-    sparse = (not rank1) and _is_sparse(n, np.count_nonzero(p_sub))
+    sparse = (not rank1) and _is_sparse(p_sub)
 
     s = weights[0] * np.eye(n)
     if rank1:
@@ -442,7 +443,7 @@ def _sparse_generator(chain: FiniteKilledChain) -> sp.csc_matrix:
 def _one_sparse_class(chain: FiniteKilledChain) -> bool:
     """Whether ``spectrum`` takes the generator path for ``chain``."""
     a = _sparse_generator(chain)
-    return _is_sparse(chain.n_states, a.nnz) and len(_communicating_classes(a)) == 1
+    return _is_sparse(a) and len(_communicating_classes(a)) == 1
 
 
 def _nonneg_null_vectors(mat: np.ndarray, rho: float, left: bool) -> list:
