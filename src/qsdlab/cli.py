@@ -53,6 +53,7 @@ from .metrics import (
 from .models import PRESETS, GrowthFrag, PeriodicShift, TwoPoint
 from .oracle import (
     EigenTriplet,
+    HorizonError,
     UnsupportedModelError,
     default_horizon,
     grid_generator,
@@ -474,9 +475,10 @@ def main(argv=None) -> int:
         _RUNNERS[args.mode](cfg, out, args.jobs)
         print(f"{args.mode}: wrote {out}")
         return EXIT_OK
-    except (ConfigError, UnsupportedModelError, LyapunovBaseError) as exc:
-        # also a preset the oracle has no grid for, or a Harris base whose
-        # q**n the chain cannot represent
+    except (ConfigError, UnsupportedModelError, LyapunovBaseError,
+            HorizonError) as exc:
+        # also a preset the oracle has no grid for, a Harris base whose q**n
+        # the chain cannot represent, or a t0 too long to uniformize
         print(f"qsdlab: bad config: {exc}", file=sys.stderr)
         if made is not None:
             with contextlib.suppress(OSError):

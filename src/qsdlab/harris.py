@@ -31,6 +31,7 @@ from .oracle import (
     KilledSemigroupMatrix,
     _poisson_weights,
     _substep_kernel,
+    _uniformization_sum,
     default_horizon,
     killed_semigroup,
     perron_triplet,
@@ -244,7 +245,11 @@ def check_irreducibility(chain: FiniteKilledChain, K, t0: float):
 
     Computed exactly for the killed chain by making each target absorbing in
     the uniformized sub-step kernel and mixing the absorption probabilities
-    over the Poisson number of sub-steps in [0, t0].  A positive infimum is
+    over the Poisson number of sub-steps in [0, t0]: for target y the
+    oracle's uniformization loop starts from ``e_y`` and steps by
+    ``u = P u; u[y] = 1``.  The Poisson weights are taken at the whole mean
+    ``lam * t0``, with no halving, so a horizon past ``lam * t0`` of about
+    708 raises :class:`~qsdlab.oracle.HorizonError`.  A positive infimum is
     a sufficient irreducibility surrogate for the comparability condition.
     """
     K = np.asarray(K)
@@ -260,15 +265,12 @@ def check_irreducibility(chain: FiniteKilledChain, K, t0: float):
     weights = _poisson_weights(lam * t0)
     eps = math.inf
     for y in k_idx:
-        p_y = p_sub.copy()
-        p_y[y, :] = 0.0
-        p_y[y, y] = 1.0
-        u = np.zeros(n)
-        u[y] = 1.0
-        hit = weights[0] * u
-        for w in weights[1:]:
-            u = p_y @ u
-            hit += w * u
+        def absorb(u, y=y):
+            u = p_sub @ u
+            u[y] = 1.0
+            return u
+
+        hit = _uniformization_sum(absorb, weights, np.eye(1, n, y)[0])
         others = k_idx[k_idx != y]
         if others.size:
             eps = min(eps, float(hit[others].min()))

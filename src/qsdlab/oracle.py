@@ -17,10 +17,23 @@ computed, and ``oracle`` and ``sweep`` both call it:
   semigroup matrix ``M = exp(t*A)`` and runs power iteration on it.
 
 ``M`` is computed by uniformization, which keeps entries nonnegative
-exactly; for stiff generators the horizon is halved until the
-uniformization mean is modest and the result is squared back up (squaring a
-nonnegative substochastic matrix preserves both properties).  Harris
-certificates also run on ``M``.
+exactly: ``_uniformization_sum(step, weights, x0)`` is the one loop that
+forms ``sum_k w_k step^k(x0)`` with Poisson weights ``w_k``.  For ``M`` the
+start is ``x0 = I`` and the step right-multiplies by the sub-step kernel
+``P = I + A/lam`` in one of three forms, picked from ``P``'s structure: a
+rank-1 update for redraw-type grids (diagonal plus one row repeated), a
+sparse product for chains above 512 states with under 5 % nonzeros, and a
+dense product otherwise.  Harris's hitting bound runs the same loop on a
+vector with an absorbing step.  For stiff generators the horizon is halved
+until the uniformization mean is at most 64 and the result is squared back
+up (squaring a nonnegative substochastic matrix preserves both properties).
+Harris certificates also run on ``M``.
+
+Two horizons cannot be computed and raise :class:`HorizonError`: a
+``lam * t0`` that is not finite (``killed_semigroup``), and a Poisson mean
+above about 708, where ``exp(-mean)`` is not a normal float
+(``_poisson_weights``; only the hitting bound, which does not halve, asks
+for one).
 
 The class and period analysis of the support graph runs once per matrix, in
 ``perron_triplet``; ``list_qsds`` takes the classes from its result, and an
@@ -30,6 +43,7 @@ oracle run that passes its triplet to ``list_qsds`` computes one triplet.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,6 +60,7 @@ __all__ = [
     "ReducibilityDiagnostic",
     "QsdComponent",
     "ExtinctionUnderflowError",
+    "HorizonError",
     "UnsupportedModelError",
     "killed_semigroup",
     "default_horizon",
@@ -63,6 +78,10 @@ __all__ = [
 _POISSON_TAIL = 1e-12
 _UNIF_MEAN_CAP = 64.0
 _SHIFT = 1e-6  # generator-path shift, in units of the uniformization rate
+
+
+class HorizonError(ValueError):
+    """The horizon ``t0`` is too long for uniformization on this chain."""
 
 
 class ExtinctionUnderflowError(ArithmeticError):
@@ -153,9 +172,18 @@ class QsdComponent:
 # ---------------------------------------------------------------------------
 
 def _poisson_weights(mean: float, tail: float = _POISSON_TAIL) -> np.ndarray:
+    """Poisson(mean) probabilities from 0 up to where the tail is below ``tail``.
+
+    The recursion starts at ``exp(-mean)``, so a mean above about 708, where
+    that is not a normal float, raises :class:`HorizonError`.
+    """
     if mean <= 0:
         return np.array([1.0])
     w = [math.exp(-mean)]
+    if not w[0] >= sys.float_info.min:
+        raise HorizonError(f"uniformization mean lambda * t0 = {mean!r} is above "
+                           "about 708, where exp(-mean) is not a normal float; "
+                           "use a shorter t0")
     total = w[0]
     k = 0
     while total < 1.0 - tail or k < mean:
@@ -181,7 +209,8 @@ def killed_semigroup(chain: FiniteKilledChain, t: float) -> KilledSemigroupMatri
     uniformization mean is at most about 64 and the partial result is then
     squared back; nonnegativity and sub-stochasticity are preserved exactly
     at every stage (row sums are re-projected onto <= 1 after each squaring
-    to absorb float rounding).
+    to absorb float rounding).  A ``lam * t`` that is not finite raises
+    :class:`HorizonError`.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -190,12 +219,16 @@ def killed_semigroup(chain: FiniteKilledChain, t: float) -> KilledSemigroupMatri
     if lam == 0.0:
         return KilledSemigroupMatrix(np.eye(n), t)
     mean = lam * t
+    if not math.isfinite(mean):
+        raise HorizonError(f"horizon t0 = {t!r} times the uniformization rate "
+                           f"{lam!r} is not finite; use a shorter t0")
     n_sq = 0
     while mean > _UNIF_MEAN_CAP:
         mean *= 0.5
         n_sq += 1
-    weights = _poisson_weights(mean)
-    s = _uniformization_sum(_substep_kernel(chain, lam), weights)
+    step, order = _step_form(_substep_kernel(chain, lam))
+    s = np.ascontiguousarray(_uniformization_sum(
+        step, _poisson_weights(mean), np.eye(n, order=order)))
     for _ in range(n_sq):
         s = s @ s
         np.clip(s, 0.0, None, out=s)
@@ -220,41 +253,34 @@ def _is_sparse(mat) -> bool:
     return n > 512 and (mat.nnz if sp.issparse(mat) else np.count_nonzero(mat)) < 0.05 * n * n
 
 
-def _uniformization_sum(p_sub: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    n = p_sub.shape[0]
-    # redraw-type rows make P = diag + 1 u^T (off-diagonal entries constant
-    # within each column), which multiplies in O(n^2)
-    rank1 = False
-    if n > 64:
+def _uniformization_sum(step, weights: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """``sum_k weights[k] * step^k(x0)``, with ``step`` one sub-step."""
+    t = x0
+    s = weights[0] * x0
+    for w in weights[1:]:
+        t = step(t)
+        s += w * t
+    return s
+
+
+def _step_form(p_sub: np.ndarray):
+    """``(step, order)``: ``step`` is ``t -> t @ p_sub`` in the cheapest form
+    the structure of ``p_sub`` allows, and ``order`` the memory order it
+    keeps its iterate in, so the sum accumulates without strided passes."""
+    if p_sub.shape[0] > 64:
+        # redraw-type rows make P = diag + 1 u^T (off-diagonal entries
+        # constant within each column), which multiplies in O(n^2)
         off = p_sub.copy()
         np.fill_diagonal(off, np.nan)
-        col_lo = np.nanmin(off, axis=0)
+        u = np.nanmin(off, axis=0)
         col_hi = np.nanmax(off, axis=0)
-        rank1 = bool(np.all(col_hi - col_lo <= 1e-15 * max(col_hi.max(), 1.0)))
-    sparse = (not rank1) and _is_sparse(p_sub)
-
-    s = weights[0] * np.eye(n)
-    if rank1:
-        u = col_lo
-        dvec = np.diagonal(p_sub) - u
-        t = np.eye(n)
-        for w in weights[1:]:
-            t = t * dvec[None, :] + t.sum(axis=1)[:, None] * u[None, :]
-            s += w * t
-    elif sparse:
+        if np.all(col_hi - u <= 1e-15 * max(col_hi.max(), 1.0)):
+            d = np.diagonal(p_sub) - u
+            return (lambda t: t * d + t.sum(axis=1)[:, None] * u), "C"
+    if _is_sparse(p_sub):
         pt = sp.csr_matrix(p_sub.T)
-        tt = np.eye(n)
-        st = s.T.copy()
-        for w in weights[1:]:
-            tt = pt @ tt
-            st += w * tt
-        s = st.T.copy()
-    else:
-        t = np.eye(n)
-        for w in weights[1:]:
-            t = t @ p_sub
-            s += w * t
-    return s
+        return (lambda t: (pt @ t.T).T), "F"
+    return (lambda t: t @ p_sub), "C"
 
 
 # ---------------------------------------------------------------------------

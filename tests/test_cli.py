@@ -195,6 +195,27 @@ def test_oracle_mode_needs_a_finite_chain_preset(tmp_path):
     assert main(["oracle", "--config", cfg]) == EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("mode, t0", [("oracle", 1e308), ("harris", 1e308),
+                                      ("harris", 200.0)])
+def test_horizon_too_long_to_uniformize_is_bad_config(mode, t0, tmp_path):
+    # lambda * t0 = inf in the semigroup, and 1000 in the hitting bound's
+    # Poisson weights, whose first term exp(-1000) is not a normal float
+    cfg = _write(tmp_path, "c.json", {
+        "mode": mode,
+        "model": {"name": "birth_death",
+                  "params": {"b": 4.0, "d": 1.0, "b1": 1.0, "d1": 0.1,
+                             "truncation": 40}},
+        "output_dir": str(tmp_path / "out"),
+        mode: {"t0": t0},
+    })
+    proc = subprocess.run([sys.executable, "-m", "qsdlab.cli", mode,
+                           "--config", cfg],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert "t0" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_not_json_is_bad_config(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

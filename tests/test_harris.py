@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qsdlab as q
 from qsdlab.harris import (
@@ -215,3 +216,18 @@ def test_hitting_probability_value_against_closed_form():
     eps, ok = check_irreducibility(chain, np.array([0, 1]), t0)
     assert ok
     assert abs(eps - (1.0 - math.exp(-r * t0))) < 1e-10
+
+
+@pytest.mark.parametrize("t0", [2.0, 100.0])  # lambda * t0 = 10 and 500
+def test_hitting_bound_matches_expm_of_the_absorbed_generator(t0):
+    chain = q.BirthDeath(4.0, 1.0, 1.0, 0.1, truncation=40).chain()
+    k_idx = np.arange(12)
+    eps, ok = check_irreducibility(chain, k_idx, t0)
+    ref = math.inf
+    for y in k_idx:
+        a_y = chain.generator()
+        a_y[y, :] = 0.0  # y absorbing: the law at y is P(hit y before t0)
+        hit = scipy.linalg.expm(t0 * a_y)[:, y]
+        ref = min(ref, hit[k_idx[k_idx != y]].min())
+    assert ok
+    assert abs(eps - ref) <= 1e-9 * ref

@@ -9,6 +9,7 @@ from qsdlab.metrics import EmpiricalMeasure, measure_from_density, tv_finite, w1
 from qsdlab.oracle import (
     EigenTriplet,
     ExtinctionUnderflowError,
+    HorizonError,
     KilledSemigroupMatrix,
     ReducibilityDiagnostic,
     UnsupportedModelError,
@@ -22,6 +23,12 @@ from qsdlab.oracle import (
     spectral_gap,
     spectrum,
     survival_curve,
+)
+from qsdlab.oracle import (
+    _poisson_weights,
+    _step_form,
+    _substep_kernel,
+    _uniformization_sum,
 )
 from qsdlab.streams import substream
 from tests.conftest import random_chain
@@ -99,6 +106,34 @@ def test_rejects_bad_inputs():
     chain = q.TwoPoint(1, 2).chain()
     with pytest.raises(ValueError):
         killed_semigroup(chain, 0.0)
+
+
+def test_horizons_that_cannot_be_uniformized_raise():
+    chain = q.TwoPoint(1, 2).chain()
+    with pytest.raises(HorizonError, match="t0"):
+        killed_semigroup(chain, 1e308)
+    # exp(-720) is subnormal, so the Poisson recursion would lose its head
+    with pytest.raises(HorizonError, match="t0"):
+        _poisson_weights(720.0)
+    assert abs(_poisson_weights(700.0).sum() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("preset, n_grid, form", [
+    (q.HouseOfCard(1.0, 1.0), 128, ("d", "u")),    # rank-1 update
+    (q.IntervalBrownian(), 600, ("pt",)),          # sparse product
+])
+def test_step_forms_agree_with_the_dense_product(preset, n_grid, form):
+    chain = grid_generator(preset, n_grid)
+    lam = chain.uniformization_rate()
+    p_sub = _substep_kernel(chain, lam)
+    step, order = _step_form(p_sub)
+    # the picker chose the structured form: its closure holds the
+    # rank-1 factors or the sparse transpose, not the dense kernel
+    assert step.__code__.co_freevars == form
+    weights = _poisson_weights(10.0)  # lam * t = 10
+    fast = _uniformization_sum(step, weights, np.eye(n_grid, order=order))
+    dense = _uniformization_sum(lambda t: t @ p_sub, weights, np.eye(n_grid))
+    assert np.abs(fast - dense).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

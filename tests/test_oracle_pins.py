@@ -2,10 +2,11 @@
 
 Each case runs ``qsdlab oracle`` (or ``qsdlab harris``) on a small config
 and records the sha256 of every file it writes.  The cases cover a reducible
-chain, a primitive finite chain, the rank-1 redraw branch of the
-uniformization sum and the two dense grid discretizations, so any change
-to the semigroup, the class/period analysis, the power iteration, the QSD
-list or the Harris search that moves a written byte shows here.
+chain, a primitive finite chain, the rank-1 redraw step of the
+uniformization sum, the two dense grid discretizations and a 600-cell
+interval on the sparse generator path, so any change to the semigroup, the
+class/period analysis, the power iteration, the generator eigensolve, the
+QSD list or the Harris search that moves a written byte shows here.
 """
 
 import hashlib
@@ -24,6 +25,8 @@ CASES = {
     "house_of_card": ("oracle", "house_of_card", {"c": 1.0, "q": 1.0},
                       {"n_grid": 128}),
     "interval_brownian": ("oracle", "interval_brownian", {}, {"n_grid": 64}),
+    "interval_brownian_600": ("oracle", "interval_brownian", {},
+                              {"n_grid": 600}),
     "torus_sine_cosine": ("oracle", "torus_diffusion",
                           {"dim": 1, "drift": ["sine", 0.75],
                            "kill": ["cosine", 2.0, 1.5]},
@@ -45,6 +48,9 @@ PINS = {
     "interval_brownian": (
         "2c7a2b3d99ac03815aaa4d4652e2e702d1f9048d4176d4ca795b3d0a63b64080",
         "93747d99dd3b71f3eefc97719ea29c21a19769324b45783902dca1787514d592"),
+    "interval_brownian_600": (
+        "20976dd7d25897d1a7294090b2cdc8a7ef7a00efd90ee1572d2c600716f8ccb0",
+        "b4b9db3bdd135a59b1c7ebcb45077209926578b4280f873d87de93e26834b23c"),
     "torus_sine_cosine": (
         "4fd5445d8d99851765285d8ac5ef90cd523af007014e19980819cd7a191abfc9",
         "e5c7c92228dffb26ef0032912d32a4316e7f613241834c00b6e88da446ded5dd"),
