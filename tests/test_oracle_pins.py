@@ -3,10 +3,11 @@
 Each case runs ``qsdlab oracle`` (or ``qsdlab harris``) on a small config
 and records the sha256 of every file it writes.  The cases cover a reducible
 chain, a primitive finite chain, the rank-1 redraw step of the
-uniformization sum, the two dense grid discretizations and a 600-cell
-interval on the sparse generator path, so any change to the semigroup, the
-class/period analysis, the power iteration, the generator eigensolve, the
-QSD list or the Harris search that moves a written byte shows here.
+uniformization sum (on a dyadic and a non-dyadic grid), the two dense grid
+discretizations and a 600-cell interval on the sparse generator path, so
+any change to the semigroup, the class/period analysis, the power
+iteration, the generator eigensolve, the QSD list or the Harris search that
+moves a written byte shows here.
 """
 
 import hashlib
@@ -24,6 +25,10 @@ CASES = {
     "birth_death": ("oracle", "birth_death", BIRTH_DEATH, {}),
     "house_of_card": ("oracle", "house_of_card", {"c": 1.0, "q": 1.0},
                       {"n_grid": 128}),
+    # rates of 1/200 are not dyadic, so this pin shows a change in the
+    # order the rates of a dense row are summed in
+    "house_of_card_200": ("oracle", "house_of_card", {"c": 1.0, "q": 1.0},
+                          {"n_grid": 200}),
     "interval_brownian": ("oracle", "interval_brownian", {}, {"n_grid": 64}),
     "interval_brownian_600": ("oracle", "interval_brownian", {},
                               {"n_grid": 600}),
@@ -45,6 +50,9 @@ PINS = {
     "house_of_card": (
         "1003c29f611813a19cb960c6e190f9e886180a461cb5b0f0fbea9102e442bfb3",
         "f20c1ff955b9ae3e7662526ac8f330f69f5122569fa14a0010ff6f109a0480a8"),
+    "house_of_card_200": (
+        "6a269c4d157202e856ef5cd17313bb8fcca35f6a854e41dc9a4df258e266a03e",
+        "9681269fab2adec3ca8f3866d2ae48bf49095401e83359f75523af299f4c8449"),
     "interval_brownian": (
         "2c7a2b3d99ac03815aaa4d4652e2e702d1f9048d4176d4ca795b3d0a63b64080",
         "93747d99dd3b71f3eefc97719ea29c21a19769324b45783902dca1787514d592"),
