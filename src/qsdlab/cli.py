@@ -35,7 +35,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import _kernels as _k
-from .config import METRICS, MODES, ConfigError, ExperimentConfig, layout, load_config
+from .config import (METRICS, MODES, SCHEMA, ConfigError, ExperimentConfig, layout,
+                     load_config)
 from .fv import FVConfig, run_fv, write_csv, write_json, write_report
 from .harris import (
     LyapunovBaseError,
@@ -75,8 +76,8 @@ _PRESET_FIELDS = "\n".join(f"  {name}({', '.join(f.name for f in fields(cls))})"
 _EPILOG = f"""\
 exit codes:
   0  success
-  2  bad config: parse error, unknown key, unknown preset, invalid
-     parameters, empty sweep lists, --jobs other than 1 outside sweep
+  2  bad config: parse error, unknown key or preset, invalid parameters,
+     empty sweep lists, --jobs other than 1 outside sweep, --seed below 0
   3  runtime failure during simulation or analysis
   4  output directory cannot be created or written
 
@@ -455,6 +456,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     made = None  # the output directory, if this call created it
     try:
+        (seed_ok, seed_rule), _ = SCHEMA["seed"]  # the config's seed rule
+        if args.seed is not None and not seed_ok(args.seed):
+            raise ConfigError(f"--seed must be {seed_rule}, got {args.seed}")
         if args.mode == "demo":
             out = _out_dir(args.output_dir)
             _prepare_dir(out)

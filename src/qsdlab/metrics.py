@@ -32,8 +32,8 @@ __all__ = [
 class EmpiricalMeasure:
     """Weighted atoms on a state space.
 
-    ``support`` is ``(n,)`` or ``(n, d)``; ``weights`` defaults to uniform
-    and must sum to one.
+    ``support`` is ``(n,)`` or ``(n, d)`` states of ``space`` (``space.allows``);
+    ``weights`` defaults to uniform and must sum to one.
     """
 
     support: np.ndarray
@@ -44,14 +44,8 @@ class EmpiricalMeasure:
         self.support = np.asarray(self.support, dtype=float)
         if self.support.size == 0:
             raise ValueError("support must be nonempty")
-        # min and max are NaN when any atom is
-        lo, top = float(self.support.min()), float(self.support.max())
-        if not (math.isfinite(lo) and math.isfinite(top)):
-            raise ValueError("atoms must be finite")
-        # a real space holds [0, hi]: [0, 1] on the torus and the interval
-        hi = getattr(self.space, "hi", None)
-        if hi is not None and (lo < 0.0 or top > hi):
-            raise ValueError(f"atoms must lie in [0, {hi}] on {self.space}")
+        if not self.space.allows(self.support):
+            raise ValueError(f"atoms must be states of {self.space}")
         if self.weights is None:
             n = self.support.shape[0]
             self.weights = np.full(n, 1.0 / n)

@@ -79,8 +79,9 @@ class UnsupportedModelError(ValueError):
 # ---------------------------------------------------------------------------
 #
 # One frozen object per state space.  ``name``, ``dim`` and the fields go to
-# the model block of report.json.  ``circle`` picks the W1 of a marginal: the
-# circle distance (True), the line distance (False) or none (None).
+# the model block of report.json.  ``allows`` is the one test of allowed
+# states, for a Dirac init and for a measure.  ``circle`` picks the W1 of a
+# marginal: the circle distance (True), the line distance (False) or none.
 
 class _RealSpace:
     """``dim`` float coordinates, each finite and in ``[0, hi]``.  The
@@ -92,10 +93,17 @@ class _RealSpace:
     def wrap(self, y: np.ndarray) -> np.ndarray:
         return y
 
+    def allows(self, arr: np.ndarray) -> bool:
+        """Whether all entries of the float array ``arr`` are finite and in
+        ``[0, hi]``.  One min and one max decide, which are NaN if any entry
+        is; their initial 0.0 lets an empty array pass."""
+        lo, top = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
+        return 0.0 <= lo and top <= self.hi and math.isfinite(top)
+
     def states(self, values) -> np.ndarray:
         """``values`` as an ``(n, dim)`` array; ValueError unless all are allowed."""
         arr = np.array(values, dtype=float).reshape(-1, self.dim)
-        if not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr <= self.hi)):
+        if not self.allows(arr):
             raise ValueError(f"{self} holds finite states in [0, {self.hi}], got {values!r}")
         return arr
 
@@ -141,9 +149,14 @@ class Finite:
     n_states: int
     name, dim, circle = "finite", 1, None
 
+    def allows(self, arr: np.ndarray) -> bool:
+        """Whether all entries of the float array ``arr`` are state labels."""
+        lo, top = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
+        return 0.0 <= lo and top < self.n_states and bool(np.all(arr == np.floor(arr)))
+
     def states(self, values) -> np.ndarray:
         arr = np.array(values, dtype=float).reshape(-1)
-        if not np.all((arr == np.floor(arr)) & (arr >= 0) & (arr < self.n_states)):
+        if not self.allows(arr):
             raise ValueError(f"{self} holds 0..{self.n_states - 1}, got {values!r}")
         return arr.astype(np.int64)
 
@@ -395,6 +408,23 @@ class FiniteKilledChain:
 
     def conservative_rate(self) -> float:
         return float(self.jump_rates.sum(axis=1).max())
+
+
+def _nearest_neighbour(up: np.ndarray, down, periodic: bool = False) -> np.ndarray:
+    """Jump rates of a banded chain on ``len(up)`` states: i -> i + 1 at
+    ``up[i]`` and i -> i - 1 at ``down[i]`` (``down`` may be one rate for
+    all).  ``periodic`` makes a ring, with the up-jumps written first;
+    otherwise no jump leaves past either end."""
+    n = len(up)
+    down = np.broadcast_to(down, (n,))
+    q, i = np.zeros((n, n)), np.arange(n)
+    if periodic:
+        q[i, (i + 1) % n] = up
+        q[i, (i - 1) % n] = down
+    else:
+        q[i[:-1], i[1:]] = up[:-1]
+        q[i[1:], i[:-1]] = down[1:]
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -699,15 +729,12 @@ class BirthDeath(_Preset):
 
     def chain(self, n_grid=None) -> FiniteKilledChain:
         n = self.truncation
-        q = np.zeros((n, n))
-        q[0, 1] = self.b1
-        for i in range(1, n - 1):
-            q[i, i + 1] = self.b
-            q[i, i - 1] = self.d
-        q[n - 1, n - 2] = self.d
+        up = np.full(n, float(self.b))
+        up[0] = self.b1
         kill = np.zeros(n)
         kill[0] = self.d1
-        return FiniteKilledChain(q, kill, positions=np.arange(1, n + 1, dtype=float),
+        return FiniteKilledChain(_nearest_neighbour(up, self.d), kill,
+                                 positions=np.arange(1, n + 1, dtype=float),
                                  name="birth_death")
 
     def criterion_value(self) -> float:
@@ -780,28 +807,25 @@ class TorusDiffusion(_Preset):
 
     def families(self) -> tuple:
         """The ``(drift, kill)`` family objects named by ``drift`` and ``kill``."""
-        drift, kill = self.drift, self.kill
-        if drift is None:
-            drift_f = ZeroDrift()
-        elif isinstance(drift, (int, float)):
-            drift_f = ConstDrift(float(drift))
-        elif isinstance(drift, (tuple, list)) and len(drift) == 2 and drift[0] == "sine":
+        family = self._family
+        return (family(self.drift, "drift", ZeroDrift(), ConstDrift, "sine", SineDrift),
+                family(self.kill, "kill", NoKill(), ConstKill, "cosine", CosineKill))
+
+    def _family(self, spec, what, none, const, name, named):
+        """``spec`` read by the one grammar of a family spec: ``None`` gives
+        ``none``, a number (``_is_number``) gives ``const(number)`` and
+        ``[name, number, ...]``, one number per field of ``named``, gives the
+        one-dimensional ``named(*numbers)``.  Anything else is a ValueError."""
+        if spec is None:
+            return none
+        if _is_number(spec):
+            return const(float(spec))
+        if (isinstance(spec, (tuple, list)) and len(spec) == len(fields(named)) + 1
+                and spec[0] == name and all(map(_is_number, spec[1:]))):
             if self.dim != 1:
-                raise ValueError("sine drift is one dimensional")
-            drift_f = SineDrift(float(drift[1]))
-        else:
-            raise ValueError(f"unknown drift family: {drift!r}")
-        if kill is None:
-            kill_f = NoKill()
-        elif isinstance(kill, (int, float)):
-            kill_f = ConstKill(float(kill))
-        elif isinstance(kill, (tuple, list)) and len(kill) == 3 and kill[0] == "cosine":
-            if self.dim != 1:
-                raise ValueError("cosine kill is one dimensional")
-            kill_f = CosineKill(float(kill[1]), float(kill[2]))
-        else:
-            raise ValueError(f"unknown kill family: {kill!r}")
-        return drift_f, kill_f
+                raise ValueError(f"{name} {what} is one dimensional")
+            return named(*map(float, spec[1:]))
+        raise ValueError(f"unknown {what} family: {spec!r}")
 
     def chain(self, n_grid: int) -> FiniteKilledChain:
         """``n_grid`` cells of the circle: second-order central differences
@@ -815,10 +839,8 @@ class TorusDiffusion(_Preset):
         rate = 0.5 / (h * h)
         drift, kill = self.families()
         b = drift.drift(x[:, None])[:, 0]
-        q = np.zeros((n_grid, n_grid))
-        i = np.arange(n_grid)
-        q[i, (i + 1) % n_grid] = rate + np.maximum(b, 0.0) / h
-        q[i, (i - 1) % n_grid] = rate + np.maximum(-b, 0.0) / h
+        q = _nearest_neighbour(rate + np.maximum(b, 0.0) / h,
+                               rate + np.maximum(-b, 0.0) / h, periodic=True)
         return FiniteKilledChain(q, kill.rate(x[:, None]), positions=x,
                                  space=Torus(), name="torus_diffusion_grid")
 
@@ -840,12 +862,10 @@ class IntervalBrownian(_Preset):
         h = 1.0 / (n_grid + 1)
         x = (np.arange(n_grid) + 1) * h
         rate = 0.5 / (h * h)
-        q = np.zeros((n_grid, n_grid))
-        i = np.arange(n_grid - 1)
-        q[i, i + 1] = q[i + 1, i] = rate
         kill = np.zeros(n_grid)
         kill[[0, -1]] = rate
-        return FiniteKilledChain(q, kill, positions=x, space=Interval(),
+        return FiniteKilledChain(_nearest_neighbour(np.full(n_grid, rate), rate), kill,
+                                 positions=x, space=Interval(),
                                  name="interval_brownian_grid")
 
     def closed_forms(self) -> tuple:
@@ -887,14 +907,11 @@ def _is_number(v) -> bool:
             and math.isfinite(v))
 
 
-# the config values each preset field type takes; a drift or kill family
-# ("object") is None, a number, or [name, number, ...]
+# the config values each number field of a preset takes; a drift or kill
+# family field is checked by ``TorusDiffusion.families``
 _PARAM_OK = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "float": _is_number,
-    "object": lambda v: v is None or _is_number(v) or (
-        isinstance(v, (list, tuple)) and len(v) > 0 and isinstance(v[0], str)
-        and all(_is_number(p) for p in v[1:])),
 }
 
 
@@ -903,7 +920,7 @@ def build_preset(name: str, params: dict):
         raise KeyError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
     kinds = {f.name: f.type for f in fields(PRESETS[name])}
     for key, value in params.items():
-        if key in kinds and not _PARAM_OK[kinds[key]](value):
+        if kinds.get(key) in _PARAM_OK and not _PARAM_OK[kinds[key]](value):
             raise ValueError(f"bad parameter {key}={value!r} for preset {name!r}")
     try:
         return PRESETS[name](**params)

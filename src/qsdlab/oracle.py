@@ -30,7 +30,8 @@ up (squaring a nonnegative substochastic matrix preserves both properties).
 Harris certificates also run on ``M``.
 
 Two horizons cannot be computed and raise :class:`HorizonError`: a
-``lam * t0`` that is not finite (``killed_semigroup``), and a Poisson mean
+``lam * t0`` that is not finite (``killed_semigroup`` and
+``generator_triplet``, through ``_uniformization_mean``), and a Poisson mean
 above about 708, where ``exp(-mean)`` is not a normal float
 (``_poisson_weights``; only the hitting bound, which does not halve, asks
 for one).
@@ -218,10 +219,7 @@ def killed_semigroup(chain: FiniteKilledChain, t: float) -> KilledSemigroupMatri
     lam = chain.uniformization_rate()
     if lam == 0.0:
         return KilledSemigroupMatrix(np.eye(n), t)
-    mean = lam * t
-    if not math.isfinite(mean):
-        raise HorizonError(f"horizon t0 = {t!r} times the uniformization rate "
-                           f"{lam!r} is not finite; use a shorter t0")
+    mean = _uniformization_mean(lam, t)
     n_sq = 0
     while mean > _UNIF_MEAN_CAP:
         mean *= 0.5
@@ -237,6 +235,14 @@ def killed_semigroup(chain: FiniteKilledChain, t: float) -> KilledSemigroupMatri
         if np.any(bad):
             s[bad] /= rows[bad, None]
     return KilledSemigroupMatrix(s, t)
+
+
+def _uniformization_mean(lam: float, t: float) -> float:
+    """``lam * t``, which raises :class:`HorizonError` unless it is finite."""
+    if not math.isfinite(lam * t):
+        raise HorizonError(f"horizon t0 = {t!r} times the uniformization rate "
+                           f"{lam!r} is not finite; use a shorter t0")
+    return lam * t
 
 
 def default_horizon(chain: FiniteKilledChain) -> float:
@@ -409,13 +415,19 @@ def generator_triplet(chain: FiniteKilledChain, t0: float) -> EigenTriplet:
     ``spectrum`` checks that.  The residuals are those of the generator
     equation relative to the uniformization rate, which bounds the row sums
     of ``|A|`` as 1 bounds those of ``M`` on the semigroup path, and
-    ``iterations`` counts the LU solves.
+    ``iterations`` counts the LU solves.  A ``lam * t0`` that is not finite
+    raises :class:`HorizonError`, as in ``killed_semigroup``.
     """
+    return _generator_triplet(chain, _sparse_generator(chain), t0)
+
+
+def _generator_triplet(chain: FiniteKilledChain, a: sp.csc_matrix, t0: float):
+    """``generator_triplet`` from the sparse generator ``a`` of ``chain``."""
     if t0 <= 0:
         raise ValueError("horizon must be positive")
     n = chain.n_states
-    a = _sparse_generator(chain)
     rate = chain.uniformization_rate()
+    _uniformization_mean(rate, t0)
     sigma = _SHIFT * rate
     lu = splu(a - sigma * sp.identity(n, format="csc"))
     solves = 0
@@ -448,13 +460,14 @@ def spectrum(chain: FiniteKilledChain, t0: float) -> tuple:
     """``(M, triplet)`` of ``chain`` at horizon ``t0``.
 
     A sparse chain (more than 512 states, fewer than 5 % nonzero generator
-    entries) of one communicating class gets ``(None, generator_triplet)``.
-    Any other chain gets its semigroup ``M = killed_semigroup(chain, t0)``
-    and ``perron_triplet(M)``, which is a ``ReducibilityDiagnostic`` for a
-    chain that is not primitive.
+    entries) of one communicating class gets ``(None, generator_triplet)``
+    from the sparse generator it was tested on.  Any other chain gets its
+    semigroup ``M = killed_semigroup(chain, t0)`` and ``perron_triplet(M)``,
+    which is a ``ReducibilityDiagnostic`` for a chain that is not primitive.
     """
-    if _one_sparse_class(chain):
-        return None, generator_triplet(chain, t0)
+    a = _sparse_generator(chain)
+    if _is_sparse(a) and len(_communicating_classes(a)) == 1:
+        return None, _generator_triplet(chain, a, t0)
     m = killed_semigroup(chain, t0)
     return m, perron_triplet(m)
 
@@ -464,12 +477,6 @@ def _sparse_generator(chain: FiniteKilledChain) -> sp.csc_matrix:
     q = sp.csr_matrix(chain.jump_rates)
     outflow = np.asarray(q.sum(axis=1)).ravel() + chain.kill_rates
     return (q - sp.diags(outflow)).tocsc()
-
-
-def _one_sparse_class(chain: FiniteKilledChain) -> bool:
-    """Whether ``spectrum`` takes the generator path for ``chain``."""
-    a = _sparse_generator(chain)
-    return _is_sparse(a) and len(_communicating_classes(a)) == 1
 
 
 def _nonneg_null_vectors(mat: np.ndarray, rho: float, left: bool) -> list:

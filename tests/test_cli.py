@@ -115,7 +115,8 @@ def test_unknown_key_and_preset_and_params(tmp_path):
                              "truncation": 8.5}),
             ("torus_diffusion", {"drift": math.nan}),
             ("torus_diffusion", {"kill": math.nan}),
-            ("torus_diffusion", {"drift": ["sine", "0.75"]}))):
+            ("torus_diffusion", {"drift": ["sine", "0.75"]}),
+            ("torus_diffusion", {"drift": True}))):
         mode = "oracle" if name == "birth_death" else "simulate"
         cfg = _write(tmp_path, f"params{i}.json", {
             **simulate, "mode": mode, "model": {"name": name, "params": params},
@@ -183,6 +184,16 @@ def test_unknown_key_and_preset_and_params(tmp_path):
         for jobs in ("0", "4"):
             assert main([mode, "--config", cfg, "--jobs", jobs]) == \
                 EXIT_BAD_CONFIG, (mode, jobs)
+    # --seed follows the config's seed rule, an integer >= 0, in every mode
+    for mode, doc in (("simulate", {**simulate, "fv": fv}),
+                      ("oracle", {**harris, "mode": "oracle"}),
+                      ("harris", harris), ("sweep", sweep)):
+        cfg = _write(tmp_path, f"seed_{mode}.json", doc)
+        assert main([mode, "--config", cfg, "--seed", "-1"]) == \
+            EXIT_BAD_CONFIG, mode
+    for name in ("noncommutation", "a3_failure"):
+        assert main(["demo", "--name", name, "--seed", "-1", "--output-dir",
+                     str(tmp_path / "never")]) == EXIT_BAD_CONFIG, name
     assert not (tmp_path / "never").exists()
 
 
@@ -195,16 +206,25 @@ def test_oracle_mode_needs_a_finite_chain_preset(tmp_path):
     assert main(["oracle", "--config", cfg]) == EXIT_BAD_CONFIG
 
 
-@pytest.mark.parametrize("mode, t0", [("oracle", 1e308), ("harris", 1e308),
-                                      ("harris", 200.0)])
-def test_horizon_too_long_to_uniformize_is_bad_config(mode, t0, tmp_path):
-    # lambda * t0 = inf in the semigroup, and 1000 in the hitting bound's
-    # Poisson weights, whose first term exp(-1000) is not a normal float
+_BD40 = {"name": "birth_death",
+         "params": {"b": 4.0, "d": 1.0, "b1": 1.0, "d1": 0.1, "truncation": 40}}
+
+
+@pytest.mark.parametrize("mode, t0, model", [
+    pytest.param("oracle", 1e308, _BD40, id="oracle-1e+308"),
+    pytest.param("harris", 1e308, _BD40, id="harris-1e+308"),
+    pytest.param("harris", 200.0, _BD40, id="harris-200.0"),
+    # the default 2000-cell grid takes the generator path
+    pytest.param("oracle", 1e308, {"name": "interval_brownian", "params": {}},
+                 id="oracle-interval-1e+308"),
+])
+def test_horizon_too_long_to_uniformize_is_bad_config(mode, t0, model, tmp_path):
+    # lambda * t0 = inf in the semigroup and in the generator eigensolve,
+    # and 1000 in the hitting bound's Poisson weights, whose first term
+    # exp(-1000) is not a normal float
     cfg = _write(tmp_path, "c.json", {
         "mode": mode,
-        "model": {"name": "birth_death",
-                  "params": {"b": 4.0, "d": 1.0, "b1": 1.0, "d1": 0.1,
-                             "truncation": 40}},
+        "model": model,
         "output_dir": str(tmp_path / "out"),
         mode: {"t0": t0},
     })
@@ -213,6 +233,7 @@ def test_horizon_too_long_to_uniformize_is_bad_config(mode, t0, tmp_path):
                           capture_output=True, text=True, timeout=5)
     assert proc.returncode == EXIT_BAD_CONFIG
     assert "t0" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

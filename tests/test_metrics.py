@@ -306,6 +306,10 @@ def test_measure_refuses_atoms_outside_its_space():
     for space in (q.Torus(), q.HalfLine(), q.Finite(3)):
         with pytest.raises(ValueError):
             EmpiricalMeasure(np.array([0.5, math.nan]), space=space)
+    # a finite measure holds the state labels 0..n-1
+    for bad in (2.5, -1.0, 3.0):
+        with pytest.raises(ValueError):
+            EmpiricalMeasure(np.array([0.0, bad]), space=q.Finite(3))
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([1.5]), space=q.Torus())
     with pytest.raises(ValueError):
@@ -315,6 +319,7 @@ def test_measure_refuses_atoms_outside_its_space():
                    ref) == 0.5
     EmpiricalMeasure(np.array([7.0]), space=q.HalfLine())
     EmpiricalMeasure(np.array([1.0]), space=q.Torus())
+    EmpiricalMeasure(np.array([0.0, 2.0]), space=q.Finite(3))
 
 
 def test_measure_from_density_normalizes():

@@ -101,7 +101,9 @@ def test_finite_propose_without_jumps():
 
 
 def test_propose_rejects_nonfinite_drift():
-    model = _torus_model(0.01, drift=math.nan)
+    # the preset refuses a NaN drift, so the move is built directly
+    model = q.KilledModel(name="nan_drift", space=q.Torus(), gamma=0.01,
+                          move=q.GaussMove(q.ConstDrift(math.nan)))
     with pytest.raises(ModelEvaluationError):
         propose(model, np.array([0.2]), substream(0, 1, 0))
 
@@ -265,6 +267,11 @@ def test_preset_registry_and_validation():
         q.GrowthFrag(frac=1.5)
     with pytest.raises(ValueError):
         q.TorusDiffusion(dim=1, kill=("cosine", 1.0, 2.0)).model(0.1)
+    # a family spec holds finite numbers, never booleans or strings
+    for spec in ({"drift": math.nan}, {"drift": ("sine", "0.75")}, {"drift": True},
+                 {"kill": True}, {"kill": ("cosine", "2", "1")}):
+        with pytest.raises(ValueError):
+            q.TorusDiffusion(dim=1, **spec)
 
 
 # one small instance of every preset; the last three have no finite-chain

@@ -112,6 +112,9 @@ def test_horizons_that_cannot_be_uniformized_raise():
     chain = q.TwoPoint(1, 2).chain()
     with pytest.raises(HorizonError, match="t0"):
         killed_semigroup(chain, 1e308)
+    # the generator path refuses the same horizon
+    with pytest.raises(HorizonError, match="t0"):
+        generator_triplet(grid_generator(q.IntervalBrownian(), 600), 1e308)
     # exp(-720) is subnormal, so the Poisson recursion would lose its head
     with pytest.raises(HorizonError, match="t0"):
         _poisson_weights(720.0)
