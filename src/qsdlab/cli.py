@@ -77,7 +77,8 @@ _EPILOG = f"""\
 exit codes:
   0  success
   2  bad config: parse error, unknown key or preset, invalid parameters,
-     empty sweep lists, --jobs other than 1 outside sweep, --seed below 0
+     empty sweep lists, --jobs other than 1 outside sweep, --seed outside
+     [0, 2**64)
   3  runtime failure during simulation or analysis
   4  output directory cannot be created or written
 

@@ -67,6 +67,8 @@ def _one_of(names):
 _INIT = (lambda v: v == "uniform" or (isinstance(v, list) and len(v) == 2
                                        and v[0] == "dirac"),
          '"uniform" or ["dirac", state]')
+# a run seed keys 64-bit streams, so a larger seed would alias a smaller one
+_SEED = (lambda v: _count(0)[0](v) and v < 2 ** 64, "integer in [0, 2**64)")
 _STRING = (lambda v: isinstance(v, str), "string")
 _OBJECT = (lambda v: isinstance(v, dict), "object")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "finite number > 0")
@@ -81,7 +83,7 @@ SCHEMA = {
         "name": (_STRING, "preset, one of those listed below"),
         "params": (_OBJECT, "preset fields"),
     },
-    "seed": (_count(0), "run seed"),
+    "seed": (_SEED, "run seed"),
     "output_dir": (_STRING, "output directory"),
     "fv": {
         "n_particles": (_count(1), "particles N"),

@@ -53,6 +53,8 @@ class FVConfig:
     max_resurrection_iters: int = 1_000_000
 
     def __post_init__(self):
+        if not (0 <= self.seed < 2 ** 64):
+            raise ValueError("seed must be an integer in [0, 2**64)")
         if self.n_particles < 1:
             raise ValueError("n_particles must be at least 1")
         if self.n_steps < 0:

@@ -22,6 +22,7 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import _kernels as _k
 from .streams import Stream
@@ -196,6 +197,10 @@ class ConstDrift:
 
     tag = 1
 
+    def __post_init__(self):
+        if not math.isfinite(self.speed):
+            raise ValueError("constant drift speed must be finite")
+
     def params(self, dim: int) -> tuple:
         return (self.speed,) * dim
 
@@ -210,6 +215,10 @@ class SineDrift:
     amplitude: float
 
     tag = 2
+
+    def __post_init__(self):
+        if not math.isfinite(self.amplitude):
+            raise ValueError("sine drift amplitude must be finite")
 
     def params(self, dim: int) -> tuple:
         return (self.amplitude,)
@@ -244,8 +253,8 @@ class ConstKill(_SoftKill):
     tag = 1
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("constant kill rate must be nonnegative")
+        if not (0.0 <= self.level < math.inf):
+            raise ValueError("constant kill rate must be finite and nonnegative")
 
     @property
     def params(self) -> tuple:
@@ -268,8 +277,8 @@ class CosineKill(_SoftKill):
     tag = 2
 
     def __post_init__(self):
-        if not (0.0 <= self.amplitude <= self.level):
-            raise ValueError("cosine kill rate needs 0 <= amplitude <= level")
+        if not (0.0 <= self.amplitude <= self.level < math.inf):
+            raise ValueError("cosine kill rate needs 0 <= amplitude <= level, finite")
 
     @property
     def params(self) -> tuple:
@@ -289,6 +298,10 @@ class IntervalKill:
 
     tag = 3
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("interval kill bounds must be finite")
+
     @property
     def params(self) -> tuple:
         return (self.lo, self.hi)
@@ -307,8 +320,9 @@ class PowerKill(_SoftKill):
     tag = 4
 
     def __post_init__(self):
-        if self.c < 0 or self.q < 0:
-            raise ValueError("power kill rate needs nonnegative coefficient and exponent")
+        if not (0.0 <= self.c < math.inf and 0.0 <= self.q < math.inf):
+            raise ValueError("power kill rate needs finite nonnegative coefficient "
+                             "and exponent")
 
     @property
     def params(self) -> tuple:
@@ -332,6 +346,10 @@ class StateKill(_SoftKill):
     tag = 0
     params = (0.0, 0.0)
 
+    def __post_init__(self):
+        if not np.all((0.0 <= self.rates) & (self.rates < math.inf)):
+            raise ValueError("state kill rates must be finite and nonnegative")
+
     def rate(self, x: np.ndarray) -> np.ndarray:
         return self.rates[x]
 
@@ -344,14 +362,16 @@ class StateKill(_SoftKill):
 class FiniteKilledChain:
     """Continuous-time chain on a finite state set with per-state kill rates.
 
-    ``jump_rates[i, j]`` is the rate of jumping i -> j (zero diagonal);
-    ``kill_rates[i]`` is the rate of being sent to the cemetery from i.
-    The killed generator is ``A = Q - diag(kill_rates)`` where Q is the
-    conservative generator built from the jump rates.  ``space`` is where
-    ``positions`` lie; it defaults to ``Finite(n_states)``.
+    ``jump_rates[i, j]`` is the rate of jumping i -> j (zero diagonal), given
+    as a dense array or a sparse matrix and stored as a CSR matrix, the only
+    form the rest of the package reads it in; ``kill_rates[i]`` is the rate
+    of being sent to the cemetery from i.  The killed generator is
+    ``A = Q - diag(kill_rates)`` where Q is the conservative generator built
+    from the jump rates.  ``space`` is where ``positions`` lie; it defaults
+    to ``Finite(n_states)``.
     """
 
-    jump_rates: np.ndarray
+    jump_rates: sp.csr_matrix
     kill_rates: np.ndarray
     labels: Optional[tuple] = None
     positions: Optional[np.ndarray] = None
@@ -359,24 +379,41 @@ class FiniteKilledChain:
     name: str = "chain"
 
     def __post_init__(self):
-        self.jump_rates = np.asarray(self.jump_rates, dtype=float)
+        rates = self.jump_rates
+        if sp.issparse(rates):
+            rates = sp.csr_matrix(rates, dtype=float, copy=True)
+            rates.sum_duplicates()
+            rates.eliminate_zeros()
+        else:
+            rates = np.ascontiguousarray(rates, dtype=float)
         self.kill_rates = np.asarray(self.kill_rates, dtype=float)
-        n = self.jump_rates.shape[0]
-        if self.jump_rates.shape != (n, n):
+        n = rates.shape[0]
+        if rates.shape != (n, n):
             raise ValueError("jump_rates must be square")
         if self.kill_rates.shape != (n,):
             raise ValueError("kill_rates must have one entry per state")
-        if not np.all(np.isfinite(self.jump_rates)) or not np.all(np.isfinite(self.kill_rates)):
+        self.jump_rates = sp.csr_matrix(rates)
+        stored = self.jump_rates.data
+        if not (np.all(np.isfinite(stored)) and np.all(np.isfinite(self.kill_rates))):
             raise ValueError("rates must be finite")
-        if np.any(self.jump_rates < 0) or np.any(self.kill_rates < 0):
+        if np.any(stored < 0) or np.any(self.kill_rates < 0):
             raise ValueError("rates must be nonnegative")
-        if np.any(np.diagonal(self.jump_rates) != 0.0):
+        if np.any(self.jump_rates.diagonal() != 0.0):
             raise ValueError("jump_rates must have zero diagonal")
+        # Each state's jump outflow is summed here once, from the rates as
+        # given: a dense row sums in numpy's pairwise order, and the pinned
+        # outputs of dense chains (the redraw grid) depend on that order.
+        self._outflow = np.asarray(rates.sum(axis=1), dtype=float).ravel()
         self.space = self.space or Finite(n)
 
     @property
     def n_states(self) -> int:
-        return self.jump_rates.shape[0]
+        return self.kill_rates.shape[0]
+
+    @property
+    def nnz(self) -> int:
+        """The nonzero entries of ``generator()``, counted without building it."""
+        return self.jump_rates.nnz + int(np.count_nonzero(self._outflow + self.kill_rates))
 
     def as_dict(self) -> dict:
         """JSON-ready form; dense matrices as row-major nested lists."""
@@ -384,47 +421,45 @@ class FiniteKilledChain:
             "name": self.name,
             "geometry": self.space.name,
             "n_states": self.n_states,
-            "jump_rates": [[float(v) for v in row] for row in self.jump_rates],
+            "jump_rates": [[float(v) for v in row] for row in self.jump_rates.toarray()],
             "kill_rates": [float(v) for v in self.kill_rates],
             "labels": None if self.labels is None else [str(s) for s in self.labels],
             "positions": None if self.positions is None
             else [float(v) for v in self.positions],
         }
 
-    def conservative_generator(self) -> np.ndarray:
-        q = self.jump_rates.copy()
-        np.fill_diagonal(q, 0.0)
-        q[np.diag_indices_from(q)] = -q.sum(axis=1)
-        return q
+    def conservative_generator(self) -> sp.csr_matrix:
+        """``Q``: the jump rates with minus each state's outflow on the diagonal."""
+        return self.jump_rates - sp.diags(self._outflow)
 
-    def generator(self) -> np.ndarray:
-        a = self.conservative_generator()
-        a[np.diag_indices_from(a)] -= self.kill_rates
-        return a
+    def generator(self) -> sp.csr_matrix:
+        """``A = Q - diag(kill_rates)``, sparse."""
+        return self.jump_rates - sp.diags(self._outflow + self.kill_rates)
 
     def uniformization_rate(self) -> float:
         """Bound on total outflow (jumps plus kill) over all states."""
-        return float((self.jump_rates.sum(axis=1) + self.kill_rates).max())
+        return float((self._outflow + self.kill_rates).max())
 
     def conservative_rate(self) -> float:
-        return float(self.jump_rates.sum(axis=1).max())
+        return float(self._outflow.max())
 
 
-def _nearest_neighbour(up: np.ndarray, down, periodic: bool = False) -> np.ndarray:
+def _nearest_neighbour(up: np.ndarray, down, periodic: bool = False) -> sp.csr_matrix:
     """Jump rates of a banded chain on ``len(up)`` states: i -> i + 1 at
     ``up[i]`` and i -> i - 1 at ``down[i]`` (``down`` may be one rate for
-    all).  ``periodic`` makes a ring, with the up-jumps written first;
-    otherwise no jump leaves past either end."""
+    all).  ``periodic`` makes a ring (on a ring of two states both jumps of a
+    state go to the other one, and their rates add); otherwise no jump leaves
+    past either end."""
     n = len(up)
-    down = np.broadcast_to(down, (n,))
-    q, i = np.zeros((n, n)), np.arange(n)
+    i = np.arange(n)
+    src, dst = np.r_[i, i], np.r_[i + 1, i - 1]
+    rates = np.r_[up, np.broadcast_to(down, (n,))]
     if periodic:
-        q[i, (i + 1) % n] = up
-        q[i, (i - 1) % n] = down
+        dst %= n
     else:
-        q[i[:-1], i[1:]] = up[:-1]
-        q[i[1:], i[:-1]] = down[1:]
-    return q
+        inside = (0 <= dst) & (dst < n)
+        src, dst, rates = src[inside], dst[inside], rates[inside]
+    return sp.csr_matrix((rates, (src, dst)), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +527,7 @@ class ChainMove(_Move):
     def cum_rows(self) -> np.ndarray:
         """Cumulative rows of ``I + Q/rate``, each ending at exactly 1."""
         rate = self.chain.conservative_rate()
-        jumps = self.chain.jump_rates  # zero diagonal
+        jumps = self.chain.jump_rates.toarray()  # zero diagonal
         p = jumps / rate if rate > 0 else np.zeros_like(jumps)
         p[np.diag_indices_from(p)] = 1.0 - p.sum(axis=1)
         cum = np.cumsum(p, axis=1)

@@ -1,17 +1,20 @@
 """Exact reference computations on finite or grid-discretized state spaces.
 
 The finite chain comes from the preset (``grid_generator`` asks it for
-``preset.chain(n_grid)``); this module knows no preset.
+``preset.chain(n_grid)``); this module knows no preset, and it reads a
+chain's rates only through the chain: ``generator()`` (sparse),
+``uniformization_rate()`` and ``nnz``.
 
 ``spectrum(chain, t0)`` is the one place that picks how eigen-elements are
 computed, and ``oracle`` and ``sweep`` both call it:
 
 - A chain of one communicating class with more than 512 states and fewer
   than 5 % nonzero generator entries (a 1-D diffusion grid, say) takes the
-  generator path: ``generator_triplet`` factors the sparse generator once and
-  runs shift-invert Arnoldi for the right and left Perron vectors.  No
+  generator path: ``generator_triplet`` factors ``chain.generator()`` once
+  and runs shift-invert Arnoldi for the right and left Perron vectors.  No
   semigroup matrix is built, and the survival curve from the QSD is
-  ``rho**k`` exactly.
+  ``rho**k`` exactly.  The nonzeros are counted from the chain's stored
+  rates, so a dense chain is never copied into a sparse matrix.
 - Every other chain (small chains, the dense rank-1 redraw grid, reducible
   chains of any size, whose QSD list needs ``M``) builds the killed
   semigroup matrix ``M = exp(t*A)`` and runs power iteration on it.
@@ -198,7 +201,7 @@ def _poisson_weights(mean: float, tail: float = _POISSON_TAIL) -> np.ndarray:
 
 def _substep_kernel(chain: FiniteKilledChain, lam: float) -> np.ndarray:
     """Uniformized sub-step kernel ``I + A/lam``, clipped to be nonnegative."""
-    p_sub = np.eye(chain.n_states) + chain.generator() / lam
+    p_sub = np.eye(chain.n_states) + chain.generator().toarray() / lam
     np.clip(p_sub, 0.0, None, out=p_sub)
     return p_sub
 
@@ -251,12 +254,12 @@ def default_horizon(chain: FiniteKilledChain) -> float:
     return 10.0 / lam if lam > 0 else 1.0
 
 
-def _is_sparse(mat) -> bool:
-    """More than 512 states and fewer than 5 % nonzero entries in ``mat``
-    (dense or sparse): the test for the sparse uniformization sum and for
-    the generator path of ``spectrum``."""
-    n = mat.shape[0]
-    return n > 512 and (mat.nnz if sp.issparse(mat) else np.count_nonzero(mat)) < 0.05 * n * n
+def _is_sparse(n: int, count_nonzero) -> bool:
+    """More than 512 states and fewer than 5 % of the ``n*n`` entries
+    nonzero, ``count_nonzero()`` being called only above 512 states: the
+    test for the sparse uniformization sum and for the generator path of
+    ``spectrum``."""
+    return n > 512 and count_nonzero() < 0.05 * n * n
 
 
 def _uniformization_sum(step, weights: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -283,7 +286,7 @@ def _step_form(p_sub: np.ndarray):
         if np.all(col_hi - u <= 1e-15 * max(col_hi.max(), 1.0)):
             d = np.diagonal(p_sub) - u
             return (lambda t: t * d + t.sum(axis=1)[:, None] * u), "C"
-    if _is_sparse(p_sub):
+    if _is_sparse(p_sub.shape[0], lambda: np.count_nonzero(p_sub)):
         pt = sp.csr_matrix(p_sub.T)
         return (lambda t: (pt @ t.T).T), "F"
     return (lambda t: t @ p_sub), "C"
@@ -418,18 +421,14 @@ def generator_triplet(chain: FiniteKilledChain, t0: float) -> EigenTriplet:
     ``iterations`` counts the LU solves.  A ``lam * t0`` that is not finite
     raises :class:`HorizonError`, as in ``killed_semigroup``.
     """
-    return _generator_triplet(chain, _sparse_generator(chain), t0)
-
-
-def _generator_triplet(chain: FiniteKilledChain, a: sp.csc_matrix, t0: float):
-    """``generator_triplet`` from the sparse generator ``a`` of ``chain``."""
     if t0 <= 0:
         raise ValueError("horizon must be positive")
     n = chain.n_states
     rate = chain.uniformization_rate()
     _uniformization_mean(rate, t0)
     sigma = _SHIFT * rate
-    lu = splu(a - sigma * sp.identity(n, format="csc"))
+    a = chain.generator()
+    lu = splu((a - sigma * sp.identity(n)).tocsc())
     solves = 0
 
     def perron(mat, trans):
@@ -460,23 +459,17 @@ def spectrum(chain: FiniteKilledChain, t0: float) -> tuple:
     """``(M, triplet)`` of ``chain`` at horizon ``t0``.
 
     A sparse chain (more than 512 states, fewer than 5 % nonzero generator
-    entries) of one communicating class gets ``(None, generator_triplet)``
-    from the sparse generator it was tested on.  Any other chain gets its
+    entries, counted from the chain's stored rates) of one communicating
+    class gets ``(None, generator_triplet)``.  Any other chain gets its
     semigroup ``M = killed_semigroup(chain, t0)`` and ``perron_triplet(M)``,
-    which is a ``ReducibilityDiagnostic`` for a chain that is not primitive.
+    which is a ``ReducibilityDiagnostic`` for a chain that is not primitive;
+    a dense chain is never copied into a sparse matrix here.
     """
-    a = _sparse_generator(chain)
-    if _is_sparse(a) and len(_communicating_classes(a)) == 1:
-        return None, _generator_triplet(chain, a, t0)
+    if (_is_sparse(chain.n_states, lambda: chain.nnz)
+            and len(_communicating_classes(chain.generator())) == 1):
+        return None, generator_triplet(chain, t0)
     m = killed_semigroup(chain, t0)
     return m, perron_triplet(m)
-
-
-def _sparse_generator(chain: FiniteKilledChain) -> sp.csc_matrix:
-    """``A = Q - diag(kill_rates)`` as a sparse matrix, without a dense copy."""
-    q = sp.csr_matrix(chain.jump_rates)
-    outflow = np.asarray(q.sum(axis=1)).ravel() + chain.kill_rates
-    return (q - sp.diags(outflow)).tocsc()
 
 
 def _nonneg_null_vectors(mat: np.ndarray, rho: float, left: bool) -> list:

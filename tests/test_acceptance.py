@@ -104,7 +104,7 @@ def test_c04_particle_marginal_matches_conditional_law():
         gamma, n_steps, n_runs = 0.1, 20, 200
         model = tp.model(gamma)
         chain = tp.chain()
-        step_kernel = scipy.linalg.expm(gamma * chain.conservative_generator()) \
+        step_kernel = scipy.linalg.expm(gamma * chain.conservative_generator().toarray()) \
             @ np.diag(np.exp(-gamma * chain.kill_rates))
         eta = np.array([0.0, 1.0])
         for _ in range(n_steps):

@@ -82,8 +82,9 @@ def test_unknown_key_and_preset_and_params(tmp_path):
                                       ("n_steps", "2"))):
         cfg = _write(tmp_path, f"fv{i}.json", {**simulate, "fv": {**fv, key: value}})
         assert main(["simulate", "--config", cfg]) == EXIT_BAD_CONFIG, (key, value)
-    cfg = _write(tmp_path, "seed.json", {**simulate, "fv": fv, "seed": True})
-    assert main(["simulate", "--config", cfg]) == EXIT_BAD_CONFIG
+    for i, seed in enumerate((True, 2 ** 64)):
+        cfg = _write(tmp_path, f"seed{i}.json", {**simulate, "fv": fv, "seed": seed})
+        assert main(["simulate", "--config", cfg]) == EXIT_BAD_CONFIG, seed
     cfg = _write(tmp_path, "sweep.json", {
         "mode": "sweep",
         "model": {"name": "torus_diffusion", "params": {"dim": 1}},
@@ -184,17 +185,28 @@ def test_unknown_key_and_preset_and_params(tmp_path):
         for jobs in ("0", "4"):
             assert main([mode, "--config", cfg, "--jobs", jobs]) == \
                 EXIT_BAD_CONFIG, (mode, jobs)
-    # --seed follows the config's seed rule, an integer >= 0, in every mode
+    # --seed follows the config's seed rule, an integer in [0, 2**64), in
+    # every mode: the stream keys take the seed modulo 2**64, so 2**64 would
+    # rerun seed 0 under another name
     for mode, doc in (("simulate", {**simulate, "fv": fv}),
                       ("oracle", {**harris, "mode": "oracle"}),
                       ("harris", harris), ("sweep", sweep)):
         cfg = _write(tmp_path, f"seed_{mode}.json", doc)
-        assert main([mode, "--config", cfg, "--seed", "-1"]) == \
-            EXIT_BAD_CONFIG, mode
+        for seed in ("-1", str(2 ** 64)):
+            assert main([mode, "--config", cfg, "--seed", seed]) == \
+                EXIT_BAD_CONFIG, (mode, seed)
     for name in ("noncommutation", "a3_failure"):
-        assert main(["demo", "--name", name, "--seed", "-1", "--output-dir",
-                     str(tmp_path / "never")]) == EXIT_BAD_CONFIG, name
+        for seed in ("-1", str(2 ** 64)):
+            assert main(["demo", "--name", name, "--seed", seed, "--output-dir",
+                         str(tmp_path / "never")]) == EXIT_BAD_CONFIG, (name, seed)
     assert not (tmp_path / "never").exists()
+    top = 2 ** 64 - 1
+    for i, (seed, argv) in enumerate(((top, []), (0, ["--seed", str(top)]))):
+        out = tmp_path / f"top{i}"
+        cfg = _write(tmp_path, f"top{i}.json", {**simulate, "fv": fv, "seed": seed,
+                                                "output_dir": str(out)})
+        assert main(["simulate", "--config", cfg, *argv]) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["config"]["seed"] == top
 
 
 def test_oracle_mode_needs_a_finite_chain_preset(tmp_path):

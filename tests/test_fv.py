@@ -100,7 +100,7 @@ def test_two_point_output_law_matches_enumeration():
     gamma = 0.5
     chain = tp.chain()
     model = tp.model(gamma)
-    t_cons = scipy.linalg.expm(gamma * chain.conservative_generator())
+    t_cons = scipy.linalg.expm(gamma * chain.conservative_generator().toarray())
     survive = np.exp(-gamma * chain.kill_rates)
     land = t_cons[1] * survive          # P(land j and survive) from transient
     q_die = 1.0 - land.sum()
@@ -120,7 +120,7 @@ def test_two_point_pair_law_matches_enumeration():
     gamma = 0.5
     chain = tp.chain()
     model = tp.model(gamma)
-    t_cons = scipy.linalg.expm(gamma * chain.conservative_generator())
+    t_cons = scipy.linalg.expm(gamma * chain.conservative_generator().toarray())
     survive = np.exp(-gamma * chain.kill_rates)
     land = t_cons[1] * survive
     single = land / land.sum()
@@ -326,6 +326,10 @@ def test_config_validation():
         FVConfig(n_particles=1, n_steps=-1, seed=0)
     with pytest.raises(ValueError):
         FVConfig(n_particles=1, n_steps=1, seed=0, snapshot_stride=0)
+    # the stream keys take the seed modulo 2**64
+    with pytest.raises(ValueError):
+        FVConfig(n_particles=1, n_steps=1, seed=2 ** 64)
+    assert FVConfig(n_particles=1, n_steps=1, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
 def test_dirac_and_array_inits():

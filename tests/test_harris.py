@@ -225,7 +225,7 @@ def test_hitting_bound_matches_expm_of_the_absorbed_generator(t0):
     eps, ok = check_irreducibility(chain, k_idx, t0)
     ref = math.inf
     for y in k_idx:
-        a_y = chain.generator()
+        a_y = chain.generator().toarray()
         a_y[y, :] = 0.0  # y absorbing: the law at y is P(hit y before t0)
         hit = scipy.linalg.expm(t0 * a_y)[:, y]
         ref = min(ref, hit[k_idx[k_idx != y]].min())

@@ -74,7 +74,7 @@ def test_uniformized_step_matches_matrix_exponential():
     chain = tp.chain()
     gamma = 0.5
     model = tp.model(gamma)
-    ref = scipy.linalg.expm(gamma * chain.conservative_generator()) \
+    ref = scipy.linalg.expm(gamma * chain.conservative_generator().toarray()) \
         @ np.diag(np.exp(-gamma * chain.kill_rates))
     n = 100_000
     for start in (0, 1):
@@ -101,11 +101,38 @@ def test_finite_propose_without_jumps():
 
 
 def test_propose_rejects_nonfinite_drift():
-    # the preset refuses a NaN drift, so the move is built directly
+    # every drift family refuses a NaN parameter, so the move is given a
+    # drift object that evaluates to NaN
+    class NanDrift(q.ZeroDrift):
+        def drift(self, x):
+            return np.full_like(x, math.nan)
+
     model = q.KilledModel(name="nan_drift", space=q.Torus(), gamma=0.01,
-                          move=q.GaussMove(q.ConstDrift(math.nan)))
+                          move=q.GaussMove(NanDrift()))
     with pytest.raises(ModelEvaluationError):
         propose(model, np.array([0.2]), substream(0, 1, 0))
+
+
+# each drift and kill family with the finite fields it is built from
+_FAMILIES = {
+    "const_drift": (q.ConstDrift, (0.5,)),
+    "sine_drift": (q.SineDrift, (0.5,)),
+    "const_kill": (q.ConstKill, (1.0,)),
+    "cosine_kill": (q.CosineKill, (1.0, 0.5)),
+    "interval_kill": (q.IntervalKill, (0.0, 1.0)),
+    "power_kill": (q.PowerKill, (1.0, 1.0)),
+    "state_kill": (lambda *rates: q.StateKill(np.array(rates)), (0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+def test_families_refuse_nonfinite_fields(name, bad):
+    family, fields = _FAMILIES[name]
+    family(*fields)
+    for k in range(len(fields)):
+        with pytest.raises(ValueError):
+            family(*fields[:k], bad, *fields[k + 1:])
 
 
 # ---------------------------------------------------------------------------

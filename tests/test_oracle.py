@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import qsdlab as q
 from qsdlab.metrics import EmpiricalMeasure, measure_from_density, tv_finite, w1_line
@@ -69,7 +70,7 @@ def test_semigroup_matches_scipy_expm():
     rng = np.random.default_rng(2)
     chain = random_chain(rng, 7)
     m = killed_semigroup(chain, 0.9)
-    ref = scipy.linalg.expm(0.9 * chain.generator())
+    ref = scipy.linalg.expm(0.9 * chain.generator().toarray())
     np.testing.assert_allclose(m.M, ref, atol=1e-11)
 
 
@@ -78,7 +79,7 @@ def test_semigroup_squaring_path_matches_expm():
     rates = np.array([[0.0, 3000.0], [2000.0, 0.0]])
     chain = q.FiniteKilledChain(rates, np.array([100.0, 0.0]))
     m = killed_semigroup(chain, 0.5)
-    ref = scipy.linalg.expm(0.5 * chain.generator())
+    ref = scipy.linalg.expm(0.5 * chain.generator().toarray())
     np.testing.assert_allclose(m.M, ref, rtol=1e-8, atol=1e-12)
     assert np.all(m.M.sum(axis=1) <= 1.0 + 1e-12)
 
@@ -103,9 +104,24 @@ def test_rejects_bad_inputs():
         q.FiniteKilledChain(np.array([[0.5, 1.0], [1.0, 0.0]]), np.zeros(2))
     with pytest.raises(ValueError):
         q.FiniteKilledChain(np.zeros((2, 2)), np.array([np.inf, 0.0]))
+    # rates given as a sparse matrix are checked the same way
+    for bad in ([[0.0, np.nan], [1.0, 0.0]], [[0.0, -1.0], [1.0, 0.0]],
+                [[0.5, 1.0], [1.0, 0.0]]):
+        with pytest.raises(ValueError):
+            q.FiniteKilledChain(sp.csr_matrix(np.array(bad)), np.zeros(2))
     chain = q.TwoPoint(1, 2).chain()
     with pytest.raises(ValueError):
         killed_semigroup(chain, 0.0)
+
+
+def test_dense_and_sparse_rates_give_the_same_chain():
+    banded = q.BirthDeath(4.0, 1.0, 1.0, 0.1, truncation=50).chain()
+    rates = banded.jump_rates.toarray()
+    dense = q.FiniteKilledChain(rates, banded.kill_rates)
+    sparse = q.FiniteKilledChain(sp.csr_matrix(rates), banded.kill_rates)
+    assert dense.generator().toarray().tobytes() == sparse.generator().toarray().tobytes()
+    assert dense.kill_rates.tobytes() == sparse.kill_rates.tobytes()
+    assert dense.uniformization_rate() == sparse.uniformization_rate()
 
 
 def test_horizons_that_cannot_be_uniformized_raise():
@@ -171,7 +187,7 @@ def test_conditional_step_matches_monte_carlo():
     expect = conditional_law_step(m, eta0)
 
     lam = chain.uniformization_rate()
-    p_sub = np.eye(5) + chain.generator() / lam
+    p_sub = np.eye(5) + chain.generator().toarray() / lam
     np.clip(p_sub, 0.0, None, out=p_sub)
     cum = np.cumsum(p_sub, axis=1)  # last column < 1 encodes killing
     n_paths = 200_000
@@ -390,6 +406,15 @@ def test_spectrum_keeps_the_semigroup_for_reducible_and_small_chains():
     m, trip = spectrum(grid_generator(q.IntervalBrownian(), 512), 0.06)
     assert isinstance(m, KilledSemigroupMatrix) and isinstance(trip, EigenTriplet)
     assert spectrum(grid_generator(q.IntervalBrownian(), 513), 0.06)[0] is None
+
+
+def test_large_banded_grid_is_stored_sparse():
+    # 20,000 states, which as a dense rate array would take 3.2 GB
+    chain = grid_generator(q.IntervalBrownian(), 20_000)
+    assert chain.jump_rates.nnz == 39_998
+    m, trip = spectrum(chain, 0.06)
+    assert m is None
+    assert abs(trip.theta / (math.pi ** 2 / 2) - 1.0) < 1e-6
 
 
 def test_generator_triplet_is_bitwise_repeatable():
