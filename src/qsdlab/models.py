@@ -363,12 +363,11 @@ class FiniteKilledChain:
     """Continuous-time chain on a finite state set with per-state kill rates.
 
     ``jump_rates[i, j]`` is the rate of jumping i -> j (zero diagonal), given
-    as a dense array or a sparse matrix and stored as a CSR matrix, the only
-    form the rest of the package reads it in; ``kill_rates[i]`` is the rate
-    of being sent to the cemetery from i.  The killed generator is
-    ``A = Q - diag(kill_rates)`` where Q is the conservative generator built
-    from the jump rates.  ``space`` is where ``positions`` lie; it defaults
-    to ``Finite(n_states)``.
+    as a dense array or a sparse matrix and stored as a CSR matrix;
+    ``kill_rates[i]`` is the rate of being sent to the cemetery from i.
+    The killed generator is ``A = Q - diag(kill_rates)`` where Q is the
+    conservative generator built from the jump rates.  ``space`` is where
+    ``positions`` lie; it defaults to ``Finite(n_states)``.
     """
 
     jump_rates: sp.csr_matrix
