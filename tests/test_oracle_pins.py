@@ -37,6 +37,9 @@ CASES = {
                            "kill": ["cosine", 2.0, 1.5]},
                           {"n_grid": 64}),
     "harris_birth_death": ("harris", "birth_death", BIRTH_DEATH, {}),
+    # the benchmark's Harris config
+    "harris_birth_death_400": ("harris", "birth_death",
+                               {**BIRTH_DEATH, "truncation": 400}, {}),
 }
 OUTPUTS = {"oracle": ("oracle.json", "qsd.csv"), "harris": ("certificate.json",)}
 
@@ -47,6 +50,8 @@ PINS = {
         "f0b9d1a92f353f226202147cfdce0ef66a3ed83959344422235f2ed3374f928b"),
     "harris_birth_death": (
         "a18757a8950e97d652f747e4b035a3ef998f978c2291dfd84ced837c610a48e5",),
+    "harris_birth_death_400": (
+        "32b2c47788d47e4846284dfe171911b93968ab14272f5c9d12275e72b138fefc",),
     "house_of_card": (
         "1003c29f611813a19cb960c6e190f9e886180a461cb5b0f0fbea9102e442bfb3",
         "f20c1ff955b9ae3e7662526ac8f330f69f5122569fa14a0010ff6f109a0480a8"),
