@@ -39,6 +39,7 @@ from .config import (METRICS, MODES, SCHEMA, ConfigError, ExperimentConfig, layo
                      load_config)
 from .fv import FVConfig, run_fv, write_csv, write_json, write_report
 from .harris import (
+    ConclusionReport,
     LyapunovBaseError,
     check_irreducibility,
     search_lyapunov_pair,
@@ -77,8 +78,8 @@ _EPILOG = f"""\
 exit codes:
   0  success
   2  bad config: parse error, unknown key or preset, invalid parameters,
-     empty sweep lists, --jobs other than 1 outside sweep, --seed outside
-     [0, 2**64)
+     empty sweep lists, a sweep gamma that takes no step up to the last
+     horizon, --jobs other than 1 outside sweep, --seed outside [0, 2**64)
   3  runtime failure during simulation or analysis
   4  output directory cannot be created or written
 
@@ -214,17 +215,20 @@ def _run_harris(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
                                  "t0": cert.t0}
     if cert.all_pass:
         rep = verify_conclusion(m, cert)
-        payload["conclusion"] = {
-            "theta": rep.theta,
-            "eig_lower_slack": rep.eig_lower_slack,
-            "eig_upper_slack": rep.eig_upper_slack,
-            "bounds_hold": rep.bounds_hold,
-            "gamma_of_V": rep.gamma_of_V,
-            "c2": rep.c2,
-            "c1_by_q": {str(k): v for k, v in rep.c1_by_q.items()},
-            "omega_fit": rep.omega_fit,
-            "omega_r2": rep.omega_r2,
-        }
+        if isinstance(rep, ConclusionReport):
+            payload["conclusion"] = {
+                "theta": rep.theta,
+                "eig_lower_slack": rep.eig_lower_slack,
+                "eig_upper_slack": rep.eig_upper_slack,
+                "bounds_hold": rep.bounds_hold,
+                "gamma_of_V": rep.gamma_of_V,
+                "c2": rep.c2,
+                "c1_by_q": {str(k): v for k, v in rep.c1_by_q.items()},
+                "omega_fit": rep.omega_fit,
+                "omega_r2": rep.omega_r2,
+            }
+        else:  # M is not primitive, so it has no Perron triplet
+            payload["reducibility"] = str(rep)
     write_json(out / "certificate.json", payload)
 
 
@@ -298,6 +302,10 @@ def _run_sweep(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
     horizons = [float(t) for t in sw["horizons"]]
     n_seeds = int(sw.get("n_seeds", 1))
     burn_frac = float(sw.get("burn_fraction", 0.5))
+    for gamma in gammas:
+        if round(max(horizons) / gamma) == 0:
+            raise ConfigError(f"sweep gamma {gamma!r} takes no step up to the "
+                              f"last horizon {max(horizons)!r}")
     oracle_m = _oracle_measure(cfg)
     mhash = _model_hash({"name": cfg.model_name, "params": cfg.model_params})
 

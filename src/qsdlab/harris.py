@@ -14,6 +14,12 @@ domination, which is both sufficient and necessary.  The comparability
 condition quantifies over every depth n; a finite check can certify a
 failure (a ratio sequence decaying geometrically) or a pass up to the
 tested depth, and the ratio trend is always reported.
+
+The search takes ``M V`` once per ``V`` and one orbit ``M psi, M^2 psi, ...``
+per ``psi``, and evaluates every (V, K, psi) candidate from those products;
+:func:`check_assumptions` runs the same evaluator on one candidate.  The
+conclusion checks need a primitive ``M``: on a reducible chain
+:func:`verify_conclusion` returns the oracle's reducibility diagnostic.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .models import FiniteKilledChain
 from .oracle import (
     EigenTriplet,
     KilledSemigroupMatrix,
+    ReducibilityDiagnostic,
     _poisson_weights,
     _substep_kernel,
     _uniformization_sum,
@@ -45,7 +52,6 @@ __all__ = [
     "check_irreducibility",
     "verify_conclusion",
     "search_lyapunov_pair",
-    "envelope_minorization_measure",
 ]
 
 A_DRIFT = "lyapunov_drift"
@@ -117,25 +123,33 @@ class HarrisCertificate:
         }
 
 
-def envelope_minorization_measure(m: KilledSemigroupMatrix, psi: np.ndarray,
-                                  k_idx: np.ndarray) -> np.ndarray:
-    """The minorization measure maximizing the atom-domination constant.
+def _index_set(K, n: int):
+    """``K``, a boolean mask or state indices, as sorted indices and a mask."""
+    K = np.asarray(K)
+    k_idx = np.sort(np.nonzero(K)[0]) if K.dtype == bool else np.sort(K.astype(int))
+    if k_idx.size == 0:
+        raise ValueError("K must be nonempty")
+    mask = np.zeros(n, dtype=bool)
+    mask[k_idx] = True
+    return k_idx, mask
 
-    For each target atom y in K, the binding ratio is
-    ``min_{x in K} M[x, y] psi[y] / (M psi)(x)``; normalizing that lower
-    envelope (restricted to K) gives the measure with the largest total
-    dominated mass.
+
+def _orbit(mat: np.ndarray, psi: np.ndarray, n_max: int) -> list:
+    """``[M psi, g_1, g_2, ...]`` with ``g_k = M^k psi / (psi max M^k psi)``.
+
+    Stops after ``n_max`` depths or at the first iterate that vanishes.
     """
-    mat = m.M
-    mpsi = mat @ psi
-    ratios = mat[np.ix_(k_idx, k_idx)] * psi[k_idx][None, :] / mpsi[k_idx][:, None]
-    env = ratios.min(axis=0)
-    nu = np.zeros(m.n_states)
-    if env.sum() > 0:
-        nu[k_idx] = env / env.sum()
-    else:
-        nu[k_idx] = 1.0 / k_idx.size
-    return nu
+    w = mat @ psi
+    orbit = [w]
+    for depth in range(1, n_max + 1):
+        scale = w.max()
+        if scale <= 0:
+            break
+        w = w / scale
+        orbit.append(w / psi)
+        if depth < n_max:
+            w = mat @ w
+    return orbit
 
 
 def check_assumptions(m: KilledSemigroupMatrix, V: np.ndarray, psi: np.ndarray,
@@ -154,25 +168,31 @@ def check_assumptions(m: KilledSemigroupMatrix, V: np.ndarray, psi: np.ndarray,
     psi = np.asarray(psi, dtype=float)
     if np.any(V <= 0) or np.any(psi <= 0):
         raise ValueError("V and psi must be strictly positive")
-    n = m.n_states
-    K = np.asarray(K)
-    k_idx = np.sort(np.nonzero(K)[0]) if K.dtype == bool else np.sort(K.astype(int))
-    if k_idx.size == 0:
-        raise ValueError("K must be nonempty")
-    mask = np.zeros(n, dtype=bool)
-    mask[k_idx] = True
-    if nu is None:
-        nu = envelope_minorization_measure(m, psi, k_idx)
-    else:
+    k_idx, mask = _index_set(K, m.n_states)
+    if nu is not None:
         nu = np.asarray(nu, dtype=float)
         if abs(nu.sum() - 1.0) > 1e-9 or np.any(nu < 0):
             raise ValueError("nu must be a probability vector")
         if nu[~mask].sum() > 1e-12:
             raise ValueError("nu must be supported by K")
+    return _certify(m, V, psi, m.M @ V, _orbit(m.M, psi, n_max), k_idx, mask,
+                    nu, n_max)
 
+
+def _certify(m: KilledSemigroupMatrix, V, psi, mv, orbit, k_idx, mask, nu,
+             n_max: int) -> HarrisCertificate:
+    """The certificate of one candidate from ``mv = M V`` and
+    ``orbit = _orbit(M, psi, n_max)``; ``nu`` None takes the envelope."""
     mat = m.M
-    mv = mat @ V
-    mpsi = mat @ psi
+    mpsi = orbit[0]
+    if nu is None:
+        # for each atom y in K the binding ratio is min_{x in K}
+        # M[x, y] psi[y] / (M psi)(x); normalizing that lower envelope gives
+        # the measure with the largest total dominated mass
+        env = (mat[np.ix_(k_idx, k_idx)] * psi[k_idx][None, :]
+               / mpsi[k_idx][:, None]).min(axis=0)
+        nu = np.zeros(m.n_states)
+        nu[k_idx] = env / env.sum() if env.sum() > 0 else 1.0 / k_idx.size
 
     drift_ratio = mv / V
     outside = ~mask
@@ -197,17 +217,9 @@ def check_assumptions(m: KilledSemigroupMatrix, V: np.ndarray, psi: np.ndarray,
     flat = int(np.argmin(ratios))
     w_c = int(k_idx[flat // supp.size])
 
-    # comparability ratios by vector iteration (scale-free, renormalized)
-    w = psi.copy()
-    seq = np.empty(n_max)
-    for k in range(n_max):
-        w = mat @ w
-        scale = w.max()
-        if scale <= 0:
-            seq[k:] = 0.0
-            break
-        w = w / scale
-        g = w / psi
+    # comparability ratios along the renormalized orbit; zero past its end
+    seq = np.zeros(n_max)
+    for k, g in enumerate(orbit[1:]):
         sup_k = g[mask].max()
         seq[k] = float(nu @ g) / sup_k if sup_k > 0 else 0.0
     d_val = float(seq.min())
@@ -252,11 +264,8 @@ def check_irreducibility(chain: FiniteKilledChain, K, t0: float):
     708 raises :class:`~qsdlab.oracle.HorizonError`.  A positive infimum is
     a sufficient irreducibility surrogate for the comparability condition.
     """
-    K = np.asarray(K)
-    k_idx = np.sort(np.nonzero(K)[0]) if K.dtype == bool else np.sort(K.astype(int))
-    if k_idx.size == 0:
-        raise ValueError("K must be nonempty")
     n = chain.n_states
+    k_idx, _ = _index_set(K, n)
     lam = chain.uniformization_rate()
     if lam == 0.0:
         eps = 1.0 if k_idx.size == 1 else 0.0
@@ -284,9 +293,6 @@ class ConclusionReport:
     """Quantitative consequences of an all-pass certificate."""
 
     theta: float
-    beta: float
-    alpha: float
-    C_normalized: float
     eig_lower_slack: float          # e^{-theta t0} - beta
     eig_upper_slack: float          # alpha + C - e^{-theta t0}
     gamma_of_V: float
@@ -297,26 +303,27 @@ class ConclusionReport:
     bounds_hold: bool
 
 
-def verify_conclusion(m: KilledSemigroupMatrix, cert: HarrisCertificate,
-                      mu: Optional[np.ndarray] = None) -> ConclusionReport:
+def verify_conclusion(m: KilledSemigroupMatrix, cert: HarrisCertificate
+                      ) -> ConclusionReport | ReducibilityDiagnostic:
     """Check the eigenvalue bounds and eigenfunction sandwich for a pass.
 
     ``psi`` is first rescaled so that ``psi <= V`` everywhere (the stated
     bound ``e^{-theta t0} <= alpha + C`` presumes that normalization; the
-    verdicts themselves are scale-invariant).  Requires an all-pass
-    certificate and a primitive matrix.
+    verdicts themselves are scale-invariant).  The error decay is measured
+    from the uniform start.  Requires an all-pass certificate.  A matrix
+    that is not primitive has no Perron triplet, and its diagnostic is
+    returned in place of a report.
     """
     if not cert.all_pass:
         raise ValueError("certificate must pass all four conditions")
     trip = perron_triplet(m)
     if not isinstance(trip, EigenTriplet):
-        raise ValueError(f"matrix is not primitive: {trip}")
+        return trip
     scale = float(np.min(cert.V / cert.psi))
     psi_n = cert.psi * scale
     mat = m.M
     mv = mat @ cert.V
-    mask = np.zeros(m.n_states, dtype=bool)
-    mask[cert.K] = True
+    _, mask = _index_set(cert.K, m.n_states)
     c_norm = float(np.max((mv - cert.alpha * cert.V)[mask] / psi_n[mask]))
     c_norm = max(c_norm, 0.0)
     rho = math.exp(-trip.theta * m.t0)
@@ -330,11 +337,9 @@ def verify_conclusion(m: KilledSemigroupMatrix, cert: HarrisCertificate,
         denom = (psi_n / cert.V) ** qexp * psi_n
         c1[qexp] = float(np.min(trip.h / denom))
 
-    if mu is None:
-        mu = np.full(m.n_states, 1.0 / m.n_states)
-    target = float(mu @ trip.h)
+    cur = np.full(m.n_states, 1.0 / m.n_states)
+    target = float(cur @ trip.h)
     err = []
-    cur = mu.copy()
     efac = 1.0
     for _ in range(200):
         cur = cur @ mat
@@ -348,8 +353,7 @@ def verify_conclusion(m: KilledSemigroupMatrix, cert: HarrisCertificate,
         ts = m.t0 * np.arange(1, len(err) + 1)
         fit = fit_exponential_rate(ts, np.array(err))
         omega, r2 = fit.rate, fit.r2
-    return ConclusionReport(theta=trip.theta, beta=cert.beta, alpha=cert.alpha,
-                            C_normalized=c_norm, eig_lower_slack=lower_slack,
+    return ConclusionReport(theta=trip.theta, eig_lower_slack=lower_slack,
                             eig_upper_slack=upper_slack, gamma_of_V=gamma_v,
                             c2=c2, c1_by_q=c1, omega_fit=omega, omega_r2=r2,
                             bounds_hold=bool(lower_slack >= -1e-12
@@ -357,15 +361,11 @@ def verify_conclusion(m: KilledSemigroupMatrix, cert: HarrisCertificate,
 
 
 def _sublevel_sets(V: np.ndarray, fractions) -> list:
-    """Index sets {V <= quantile} for a few coverage fractions."""
+    """``(indices, mask)`` of {V <= quantile} for a few coverage fractions."""
     order = np.argsort(V, kind="mergesort")
     n = V.size
-    out = []
-    for f in fractions:
-        k = max(1, min(n, int(round(f * n))))
-        idx = np.sort(order[:k])
-        out.append(idx)
-    return out
+    return [_index_set(order[:max(1, min(n, int(round(f * n))))], n)
+            for f in fractions]
 
 
 def search_lyapunov_pair(chain: FiniteKilledChain, t0: Optional[float] = None,
@@ -404,12 +404,14 @@ def search_lyapunov_pair(chain: FiniteKilledChain, t0: Optional[float] = None,
     if t0 is None:
         t0 = default_horizon(chain)
     m = killed_semigroup(chain, t0)
+    orbits = [_orbit(m.M, psi, n_max) for psi in psis]
     best = None
     best_key = None
     for V in Vs:
-        for k_idx in _sublevel_sets(V, k_fractions):
-            for psi in psis:
-                cert = check_assumptions(m, V, psi, k_idx, n_max=n_max)
+        mv = m.M @ V
+        for k_idx, mask in _sublevel_sets(V, k_fractions):
+            for psi, orbit in zip(psis, orbits):
+                cert = _certify(m, V, psi, mv, orbit, k_idx, mask, None, n_max)
                 n_pass = sum(v.passed for v in cert.verdicts.values())
                 key = (n_pass == 4, n_pass, cert.margin, -cert.C)
                 if best_key is None or key > best_key:

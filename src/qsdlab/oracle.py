@@ -80,6 +80,9 @@ __all__ = [
 ]
 
 _POISSON_TAIL = 1e-12
+_PERRON_TOL = 1e-12  # power iteration stops below this TV change
+_PERRON_MAX_ITER = 100_000
+_RESIDUAL_TOL = 1e-8  # the largest eigen residual validate() accepts
 _UNIF_MEAN_CAP = 64.0
 _SHIFT = 1e-6  # generator-path shift, in units of the uniformization rate
 
@@ -136,10 +139,11 @@ class EigenTriplet:
     iterations: int
     converged: bool
 
-    def validate(self, rel_tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         if abs(float(self.gamma_left @ self.h) - 1.0) > 1e-10:
             raise AssertionError("normalization gamma_left(h) = 1 violated")
-        if self.converged and max(self.residual_left, self.residual_right) > rel_tol:
+        residual = max(self.residual_left, self.residual_right)
+        if self.converged and residual > _RESIDUAL_TOL:
             raise AssertionError("eigen residuals exceed tolerance")
 
 
@@ -175,8 +179,8 @@ class QsdComponent:
 # semigroup construction
 # ---------------------------------------------------------------------------
 
-def _poisson_weights(mean: float, tail: float = _POISSON_TAIL) -> np.ndarray:
-    """Poisson(mean) probabilities from 0 up to where the tail is below ``tail``.
+def _poisson_weights(mean: float) -> np.ndarray:
+    """Poisson(mean) probabilities from 0 up to a tail below ``_POISSON_TAIL``.
 
     The recursion starts at ``exp(-mean)``, so a mean above about 708, where
     that is not a normal float, raises :class:`HorizonError`.
@@ -190,7 +194,7 @@ def _poisson_weights(mean: float, tail: float = _POISSON_TAIL) -> np.ndarray:
                            "use a shorter t0")
     total = w[0]
     k = 0
-    while total < 1.0 - tail or k < mean:
+    while total < 1.0 - _POISSON_TAIL or k < mean:
         k += 1
         w.append(w[-1] * mean / k)
         total += w[-1]
@@ -358,13 +362,12 @@ def _communicating_classes(adj: sp.csr_matrix) -> list:
     return [np.nonzero(assignment == c)[0] for c in range(n_comp)]
 
 
-def perron_triplet(m: KilledSemigroupMatrix, tol: float = 1e-12,
-                   max_iter: int = 100_000):
+def perron_triplet(m: KilledSemigroupMatrix):
     """Dominant eigen-elements of a primitive sub-Markov matrix.
 
     Runs power iteration on ``M`` (right) and its transpose (left) until the
     total-variation change between successive normalized iterates falls
-    below ``tol``.  If the support graph of ``M`` is not primitive the
+    below ``_PERRON_TOL``.  If the support graph of ``M`` is not primitive the
     communicating-class diagnostic is returned instead; near-critical chains
     that fail to converge within the iteration cap are returned with their
     achieved residual and ``converged=False``.
@@ -383,7 +386,7 @@ def perron_triplet(m: KilledSemigroupMatrix, tol: float = 1e-12,
     rho = 1.0
     iterations = 0
     converged = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, _PERRON_MAX_ITER + 1):
         iterations = it
         g_next = gamma @ mat
         rho = g_next.sum()
@@ -393,7 +396,7 @@ def perron_triplet(m: KilledSemigroupMatrix, tol: float = 1e-12,
         tv_g = 0.5 * np.abs(g_next - gamma).sum()
         tv_h = 0.5 * np.abs(h_next - h).sum() / max(h_next.sum(), 1e-300)
         gamma, h = g_next, h_next
-        if max(tv_g, tv_h) < tol:
+        if max(tv_g, tv_h) < _PERRON_TOL:
             converged = True
             break
     res_left = np.abs(gamma @ mat - rho * gamma).sum() / rho

@@ -169,6 +169,8 @@ def test_unknown_key_and_preset_and_params(tmp_path):
             ("harris", {**harris, "model": torus2}),
             ("sweep", {**sweep, "model": torus2}),
             ("sweep", {**sweep, "model": harris["model"]}),
+            # round(0.1 / 0.5) = 0 steps
+            ("sweep", {**sweep, "sweep": {**sweep["sweep"], "gammas": [0.5]}}),
             ("sweep", {**sweep, "model": {"name": "two_point",
                                           "params": {"a": 1.0, "b": 2.0}}}))):
         cfg = _write(tmp_path, f"refused{i}.json",
@@ -461,6 +463,25 @@ def test_harris_mode_emits_certificate(tmp_path):
     assert cert["beta"] > cert["alpha"] > 0
     assert doc["conclusion"]["bounds_hold"] is True
     assert doc["irreducibility"]["pass"] is True
+
+
+def test_harris_on_a_reducible_chain_writes_its_reducibility(tmp_path):
+    # on two_point (2, 1) the certificate passes with K = both states, but M
+    # is not primitive: there is no Perron triplet to conclude from
+    model = {"name": "two_point", "params": {"a": 2.0, "b": 1.0}}
+    cfg = _write(tmp_path, "c.json", {"mode": "harris", "model": model,
+                                      "output_dir": str(tmp_path / "h")})
+    assert main(["harris", "--config", cfg]) == EXIT_OK
+    doc = json.loads((tmp_path / "h" / "certificate.json").read_text())
+    assert doc["certificate"]["all_pass"] is True
+    assert doc["irreducibility"]["epsilon"] == 0.0
+    assert "conclusion" not in doc
+    cfg = _write(tmp_path, "o.json", {"mode": "oracle", "model": model,
+                                      "output_dir": str(tmp_path / "o")})
+    assert main(["oracle", "--config", cfg]) == EXIT_OK
+    oracle = json.loads((tmp_path / "o" / "oracle.json").read_text())
+    assert doc["reducibility"] == oracle["reducibility"]
+    assert doc["reducibility"].startswith("not primitive")
 
 
 def test_demo_noncommutation_emits_ordering_table(noncommutation_demo):

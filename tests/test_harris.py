@@ -8,7 +8,6 @@ import qsdlab as q
 from qsdlab.harris import (
     check_assumptions,
     check_irreducibility,
-    envelope_minorization_measure,
     search_lyapunov_pair,
     verify_conclusion,
 )
@@ -177,10 +176,35 @@ def test_search_passes_conservative_drift_chain():
     assert abs(cert.beta - 1.0) < 1e-9  # conservative: psi = 1 is invariant
 
 
+@pytest.mark.parametrize("truncation", [12, 60])
+def test_search_returns_the_best_single_check(truncation):
+    chain = q.BirthDeath(4.0, 1.0, 1.0, 0.1, truncation=truncation).chain()
+    # the search's default grid
+    q1s = (0.5, 0.625, 0.75, 0.9, 1.1, 1.3, 1.6, 2.0)
+    q2s = (0.5, 0.625, 0.75, 0.9, 1.0, 1.1, 1.3, 1.6)
+    fracs = (0.05, 0.1, 0.25, 0.5, 0.9)
+    cert, m = search_lyapunov_pair(chain)
+    idx = np.arange(chain.n_states, dtype=float)
+    best, best_key = None, None
+    for q1 in q1s:
+        V = q1 ** idx / (q1 ** idx).max()
+        order = np.argsort(V, kind="mergesort")
+        for f in fracs:
+            k_idx = order[:max(1, min(idx.size, int(round(f * idx.size))))]
+            for q2 in q2s:
+                psi = q2 ** idx / (q2 ** idx).max()
+                one = check_assumptions(m, V, psi, k_idx)
+                n_pass = sum(v.passed for v in one.verdicts.values())
+                key = (n_pass == 4, n_pass, one.margin, -one.C)
+                if best_key is None or key > best_key:
+                    best, best_key = one, key
+    assert cert.as_dict() == best.as_dict()
+
+
 def test_envelope_measure_is_probability_on_k():
     m, _ = _doeblin_matrix(eps=0.2, seed=3)
     k_idx = np.array([1, 2, 4])
-    nu = envelope_minorization_measure(m, np.ones(6), k_idx)
+    nu = check_assumptions(m, np.ones(6), np.ones(6), k_idx).nu
     assert abs(nu.sum() - 1.0) < 1e-12
     assert nu[[0, 3, 5]].sum() == 0.0
 
