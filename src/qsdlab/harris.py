@@ -166,12 +166,12 @@ def check_assumptions(m: KilledSemigroupMatrix, V: np.ndarray, psi: np.ndarray,
     """
     V = np.asarray(V, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    if np.any(V <= 0) or np.any(psi <= 0):
-        raise ValueError("V and psi must be strictly positive")
+    if not all(np.all(np.isfinite(a) & (a > 0)) for a in (V, psi)):
+        raise ValueError("V and psi must be finite and strictly positive")
     k_idx, mask = _index_set(K, m.n_states)
     if nu is not None:
         nu = np.asarray(nu, dtype=float)
-        if abs(nu.sum() - 1.0) > 1e-9 or np.any(nu < 0):
+        if not (np.all(nu >= 0) and abs(nu.sum() - 1.0) <= 1e-9):
             raise ValueError("nu must be a probability vector")
         if nu[~mask].sum() > 1e-12:
             raise ValueError("nu must be supported by K")

@@ -53,7 +53,7 @@ class EmpiricalMeasure:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != (self.support.shape[0],):
                 raise ValueError("weights must match the number of atoms")
-            if np.any(self.weights < 0):
+            if not np.all(self.weights >= 0):
                 raise ValueError("weights must be nonnegative")
             if abs(self.weights.sum() - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12")

@@ -16,8 +16,8 @@ computed, and ``oracle`` and ``sweep`` both call it:
   ``rho**k`` exactly.  The nonzeros are counted from the chain's stored
   rates, so a dense chain is never copied into a sparse matrix.
 - Every other chain (small chains, the dense rank-1 redraw grid, reducible
-  chains of any size, whose QSD list needs ``M``) builds the killed
-  semigroup matrix ``M = exp(t*A)`` and runs power iteration on it.
+  chains of any size) builds ``M = exp(t*A)`` and runs power iteration on
+  it, or for a reducible chain on each class block of it (``list_qsds``).
 
 ``M`` is computed by uniformization, which keeps entries nonnegative
 exactly: ``_uniformization_sum(step, weights, x0)`` is the one loop that
@@ -40,8 +40,8 @@ above about 708, where ``exp(-mean)`` is not a normal float
 for one).
 
 The class and period analysis of the support graph runs once per matrix, in
-``perron_triplet``; ``list_qsds`` takes the classes from its result, and an
-oracle run that passes its triplet to ``list_qsds`` computes one triplet.
+``perron_triplet``; ``list_qsds`` takes the classes from its result, so an
+oracle run computes one triplet of ``M``, plus one per class if reducible.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ _PERRON_MAX_ITER = 100_000
 _RESIDUAL_TOL = 1e-8  # the largest eigen residual validate() accepts
 _UNIF_MEAN_CAP = 64.0
 _SHIFT = 1e-6  # generator-path shift, in units of the uniformization rate
+_QSD_MARGIN = 1e-10  # relative rho gap that separates two classes' QSDs
 
 
 class HorizonError(ValueError):
@@ -107,10 +108,10 @@ class KilledSemigroupMatrix:
         n = self.M.shape[0]
         if self.M.shape != (n, n):
             raise ValueError("M must be square")
-        if self.t0 <= 0:
-            raise ValueError("horizon must be positive")
-        if np.any(self.M < 0):
-            raise ValueError("M must be nonnegative")
+        if not 0.0 < self.t0 < math.inf:
+            raise ValueError("horizon must be positive and finite")
+        if not np.all(self.M >= 0):
+            raise ValueError("M must be nonnegative and not NaN")
         rows = self.M.sum(axis=1)
         if np.any(rows > 1.0 + 1e-12):
             raise ValueError("M must be sub-Markov (row sums <= 1 + 1e-12)")
@@ -303,7 +304,7 @@ def _step_form(p_sub: np.ndarray):
 def conditional_law_step(m: KilledSemigroupMatrix, eta: np.ndarray) -> np.ndarray:
     """Advance a conditional law one horizon: ``eta M / (eta M 1)``."""
     eta = np.asarray(eta, dtype=float)
-    if np.any(eta < 0) or abs(eta.sum() - 1.0) > 1e-9:
+    if not (np.all(eta >= 0) and abs(eta.sum() - 1.0) <= 1e-9):
         raise ValueError("eta must be a probability vector")
     out = eta @ m.M
     mass = out.sum()
@@ -475,22 +476,19 @@ def spectrum(chain: FiniteKilledChain, t0: float) -> tuple:
     return m, perron_triplet(m)
 
 
-def _nonneg_null_vectors(mat: np.ndarray, rho: float, left: bool) -> list:
-    """Nonnegative (left or right) eigenvectors of ``mat`` for eigenvalue rho."""
-    a = (mat.T if left else mat) - rho * np.eye(mat.shape[0])
-    _, svals, vt = np.linalg.svd(a)
-    cutoff = max(svals.max(), 1.0) * 1e-10
-    out = []
-    for i in range(len(svals) - 1, -1, -1):
-        if svals[i] > cutoff:
-            break
-        v = vt[i]
-        if abs(v.min()) > abs(v.max()):
-            v = -v
-        if v.min() >= -1e-8 * max(v.max(), 1e-300):
-            v = np.clip(v, 0.0, None)
-            if v.sum() > 0:
-                out.append(v / v.sum())
+def _extend(mat, adj, cls: np.ndarray, vec: np.ndarray, rho_c: float, rho):
+    """``vec`` on the class ``cls`` extended to the states D it reaches in
+    ``adj`` by ``x_D (rho_c I - mat_DD) = vec mat_CD``, a left eigenvector of
+    ``mat``; None unless ``rho_c`` tops ``rho[D]`` by ``_QSD_MARGIN``."""
+    reach = np.isfinite(shortest_path(adj, directed=True, unweighted=True,
+                                      indices=cls[0]))
+    reach[cls] = False
+    if not np.all(rho[reach] < rho_c * (1.0 - _QSD_MARGIN)):
+        return None
+    out = np.zeros(mat.shape[0])
+    out[cls] = vec
+    a = rho_c * np.eye(reach.sum()) - mat[np.ix_(reach, reach)]
+    out[reach] = np.clip(np.linalg.solve(a.T, vec @ mat[np.ix_(cls, reach)]), 0.0, None)
     return out
 
 
@@ -500,10 +498,13 @@ def list_qsds(m: KilledSemigroupMatrix, trip=None) -> list:
     ``trip`` is ``perron_triplet(m)`` when the caller already has it; it is
     computed here otherwise.  For a primitive chain the answer is the single
     dominant triplet, and ``m`` is not read (``spectrum`` passes None for it
-    on the generator path).  Otherwise each communicating class of the diagnostic
-    contributes its local Perron value; the class's QSD is the nonnegative
-    left eigenvector of the full matrix at that value, when one exists.
-    Components are sorted by extinction rate (slowest first).
+    on the generator path).  Otherwise class C carries a QSD, labelled
+    ``class_states`` C, iff the ``rho_C`` of ``perron_triplet`` on the block
+    ``M[C, C]`` tops that of every class C reaches by ``_QSD_MARGIN``; ties
+    that do not reach each other each carry one, in no promised order.  The
+    first QSD's ``h`` (``qsd @ h == 1``) needs the same of the classes that
+    reach C, else it is None.  A periodic class raises ``ValueError`` naming
+    its period.  Components are sorted by extinction rate (slowest first).
     """
     if trip is None:
         trip = perron_triplet(m)
@@ -511,28 +512,26 @@ def list_qsds(m: KilledSemigroupMatrix, trip=None) -> list:
         return [QsdComponent(theta=trip.theta, qsd=trip.gamma_left,
                              class_states=np.arange(trip.h.size), h=trip.h)]
     mat = m.M
-    comps = []
-    seen = []
+    adj = sp.csr_matrix((mat > 0.0).astype(np.int8))
+    rho = np.zeros(m.n_states)  # each state's class rho; 0 (no QSD) off cycles
+    blocks = []
     for cls in trip.classes:
         block = mat[np.ix_(cls, cls)]
-        evals = np.linalg.eigvals(block)
-        rho = float(np.max(evals.real))
-        if rho <= 0:
+        if block.any():
+            local = perron_triplet(KilledSemigroupMatrix(block, m.t0))
+            if isinstance(local, ReducibilityDiagnostic):
+                raise ValueError(f"class {cls.tolist()} has period {local.period}")
+            rho[cls] = local.rho
+            blocks.append((cls, local))
+    comps = []
+    for cls, local in sorted(blocks, key=lambda b: b[1].theta):
+        qsd = _extend(mat, adj, cls, local.gamma_left, local.rho, rho)
+        if qsd is None:
             continue
-        for v in _nonneg_null_vectors(mat, rho, left=True):
-            if any(0.5 * np.abs(v - w).sum() < 1e-9 for w in seen):
-                continue
-            seen.append(v)
-            theta = -math.log(rho) / m.t0
-            comps.append(QsdComponent(theta=theta, qsd=v, class_states=cls))
-    comps.sort(key=lambda c: c.theta)
-    if comps:
-        rho_dom = math.exp(-comps[0].theta * m.t0)
-        for h in _nonneg_null_vectors(mat, rho_dom, left=False):
-            scale = float(comps[0].qsd @ h)
-            if scale > 1e-300:
-                comps[0].h = h / scale
-            break
+        # gamma_left @ h == 1 on the block, so qsd @ h == 1 after the scaling
+        h = None if comps else _extend(mat.T, adj.T, cls, qsd.sum() * local.h,
+                                       local.rho, rho)
+        comps.append(QsdComponent(local.theta, qsd / qsd.sum(), cls, h))
     return comps
 
 

@@ -147,6 +147,14 @@ def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         check_assumptions(m, np.ones(6), np.ones(6), np.array([1, 2]),
                           nu=bad_nu)
+    # NaN inputs gave NaN constants or an unrelated error
+    nan_v = np.ones(6)
+    nan_v[2] = np.nan
+    with pytest.raises(ValueError, match="V and psi"):
+        check_assumptions(m, nan_v, np.ones(6), np.arange(6))
+    with pytest.raises(ValueError, match="probability vector"):
+        check_assumptions(m, np.ones(6), np.ones(6), np.arange(6),
+                          nu=np.full(6, np.nan))
     cert = check_assumptions(m, np.ones(6), np.ones(6), np.arange(6))
     cert.verdicts[A_DRIFT].passed = False
     with pytest.raises(ValueError):

@@ -294,6 +294,8 @@ def test_measure_validation():
         EmpiricalMeasure(np.array([0.1, 0.2]), np.array([0.7, 0.2]))
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([0.1, 0.2]), np.array([1.1, -0.1]))
+    with pytest.raises(ValueError):
+        EmpiricalMeasure(np.array([0.1, 0.2]), np.array([np.nan, 1.0]))
 
 
 def test_measure_refuses_atoms_outside_its_space():

@@ -112,6 +112,14 @@ def test_rejects_bad_inputs():
     chain = q.TwoPoint(1, 2).chain()
     with pytest.raises(ValueError):
         killed_semigroup(chain, 0.0)
+    # non-finite matrices, horizons and laws
+    with pytest.raises(ValueError):
+        KilledSemigroupMatrix(np.array([[0.5, np.nan], [0.0, 0.5]]), 1.0)
+    for t0 in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            KilledSemigroupMatrix(np.eye(2), t0)
+    with pytest.raises(ValueError):
+        conditional_law_step(killed_semigroup(chain, 1.0), np.array([np.nan, 1.0]))
 
 
 def test_dense_and_sparse_rates_give_the_same_chain():
@@ -257,30 +265,63 @@ def test_triplet_residuals_and_normalization():
     assert np.abs(m.M @ trip.h - rho * trip.h).max() < 1e-8 * trip.h.max()
 
 
-def test_two_point_is_reducible_with_two_qsds():
-    m = killed_semigroup(q.TwoPoint(1.0, 2.0).chain(), 1.0)
+@pytest.mark.parametrize("a, b, h", [
+    (1.0, 2.0, [0.0, 2.0]),  # the mixture and the Dirac QSD
+    (2.0, 1.0, [1.0, 2.0]),  # the dying state is slower: Dirac only
+    (1.0, 1.0, None),        # equal rates: Dirac only, and no h
+], ids=["mixture_and_dirac", "dirac_only", "equal_rates"])
+def test_two_point_is_reducible_with_two_qsds(a, b, h):
+    preset = q.TwoPoint(a, b)
+    m = killed_semigroup(preset.chain(), 1.0)
     diag = perron_triplet(m)
     assert isinstance(diag, ReducibilityDiagnostic)
     assert diag.n_classes == 2
     assert str(diag).endswith("classes [[0], [1]]"), str(diag)
     comps = list_qsds(m)
-    assert len(comps) == 2
-    np.testing.assert_allclose(comps[0].qsd, [0.5, 0.5], atol=1e-9)
-    assert abs(comps[0].theta - 1.0) < 1e-9
-    np.testing.assert_allclose(comps[1].qsd, [1.0, 0.0], atol=1e-9)
-    assert abs(comps[1].theta - 2.0) < 1e-9
-    assert comps[0].h is not None
-    np.testing.assert_allclose(comps[0].h, [0.0, 2.0], atol=1e-8)
+    closed = preset.closed_forms()
+    assert len(comps) == len(closed)
+    for comp, form in zip(comps, closed):
+        np.testing.assert_allclose(comp.qsd, form.weights, atol=1e-9)
+        assert abs(comp.theta - form.theta) < 1e-9
+        # the mixture lives on the transient state, the Dirac on the dying one
+        expect = [q.TwoPoint.TRANSIENT] if form.regime == "mixture" else [q.TwoPoint.DYING]
+        assert comp.class_states.tolist() == expect
+    if h is None:
+        assert comps[0].h is None
+    else:
+        np.testing.assert_allclose(comps[0].h, h, atol=1e-8)
+
+
+@pytest.mark.parametrize("rates, kill, expect", [
+    # two disjoint 2-state rings: each carries its own uniform QSD
+    (scipy.linalg.block_diag([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]),
+     [0.5] * 4, {(0, 1): ([0.5, 0.5, 0.0, 0.0], 0.5),
+                 (2, 3): ([0.0, 0.0, 0.5, 0.5], 0.5)}),
+    # three states that never jump: one Dirac QSD each
+    (np.zeros((3, 3)), [0.0, 0.0, 1.0],
+     {(0,): ([1.0, 0.0, 0.0], 0.0), (1,): ([0.0, 1.0, 0.0], 0.0),
+      (2,): ([0.0, 0.0, 1.0], 1.0)}),
+], ids=["two_rings", "three_diracs"])
+def test_classes_of_equal_theta_each_carry_their_own_qsd(rates, kill, expect):
+    # the order of QSDs with equal theta is not promised, so match by class
+    comps = list_qsds(killed_semigroup(q.FiniteKilledChain(np.array(rates), kill), 1.0))
+    got = {tuple(c.class_states.tolist()): c for c in comps}
+    assert sorted(got) == sorted(expect)
+    for cls, (qsd, theta) in expect.items():
+        np.testing.assert_allclose(got[cls].qsd, qsd, atol=1e-12)
+        assert abs(got[cls].theta - theta) < 1e-9
 
 
 def test_periodic_support_detected():
     # deterministic 3-cycle kernel is irreducible but not primitive
     p = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    from qsdlab.oracle import KilledSemigroupMatrix
-
     diag = perron_triplet(KilledSemigroupMatrix(p, 1.0))
     assert isinstance(diag, ReducibilityDiagnostic)
     assert diag.period == 3
+    # list_qsds takes aperiodic classes only, alone or next to another class
+    for mat in (p, scipy.linalg.block_diag(p, [[0.5]])):
+        with pytest.raises(ValueError, match="period 3"):
+            list_qsds(KilledSemigroupMatrix(mat, 1.0))
 
 
 def test_house_grid_matches_root_find(house_oracle):
@@ -390,7 +431,7 @@ def test_generator_triplet_of_kill_free_torus_is_uniform():
 
 def test_spectrum_keeps_the_semigroup_for_reducible_and_small_chains():
     # two disjoint rings of 300 states: a sparse chain above 512 states
-    # whose QSD list needs M
+    # that is not one class keeps M, and its QSD list comes from each ring
     n = 300
     rates = np.zeros((2 * n, 2 * n))
     for base in (0, n):
@@ -402,6 +443,14 @@ def test_spectrum_keeps_the_semigroup_for_reducible_and_small_chains():
     assert isinstance(m, KilledSemigroupMatrix)
     assert isinstance(diag, ReducibilityDiagnostic)
     assert [len(c) for c in diag.classes] == [n, n]
+    comps = list_qsds(m, diag)
+    assert len(comps) == 2
+    for comp, ring, theta in zip(comps, (0, n), (0.5, 1.0)):
+        assert comp.class_states.tolist() == list(range(ring, ring + n))
+        expect = np.zeros(2 * n)
+        expect[ring:ring + n] = 1.0 / n
+        assert np.abs(comp.qsd - expect).max() < 1e-12
+        assert abs(comp.theta - theta) < 1e-9
     # 512 states is not above the size limit
     m, trip = spectrum(grid_generator(q.IntervalBrownian(), 512), 0.06)
     assert isinstance(m, KilledSemigroupMatrix) and isinstance(trip, EigenTriplet)

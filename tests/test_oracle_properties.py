@@ -3,7 +3,9 @@
 The communicating classes and the period of a support graph are compared
 with a brute-force reference built from boolean matrix powers; the killed
 semigroup of a random finite chain is checked to be sub-Markov and to
-satisfy the semigroup law ``M(s + t) = M(s) M(t)``.
+satisfy the semigroup law ``M(s + t) = M(s) M(t)``, and each QSD that
+``list_qsds`` lists for it to be a left eigenvector supported by its class
+and the states that class reaches.
 """
 
 import math
@@ -14,7 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsdlab as q
-from qsdlab.oracle import _communicating_classes, _graph_period, killed_semigroup
+from qsdlab.oracle import (
+    _communicating_classes,
+    _graph_period,
+    killed_semigroup,
+    list_qsds,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
@@ -91,3 +98,24 @@ def test_killed_semigroup_is_sub_markov_semigroup(chain, s, t):
         assert np.all(mat >= 0)
         assert np.all(mat.sum(axis=1) <= 1.0 + 1e-12)
     np.testing.assert_allclose(m_st, m_s @ m_t, rtol=0, atol=1e-9)
+
+
+@SETTINGS
+@given(chains(), st.floats(0.01, 2.0))
+def test_listed_qsds_are_eigenvectors_on_their_classes(chain, t):
+    m = killed_semigroup(chain, t)
+    mat = m.M
+    reach = _reach(mat > 0)
+    comps = list_qsds(m)
+    for c in comps:
+        assert np.all(c.qsd >= 0) and abs(c.qsd.sum() - 1.0) < 1e-12
+        rho = math.exp(-c.theta * t)
+        assert np.abs(c.qsd @ mat - rho * c.qsd).max() <= 1e-9
+        assert np.all(c.qsd[c.class_states] > 0)
+        # zero off the class and the states it reaches
+        assert np.all(c.qsd[~reach[c.class_states[0]]] == 0)
+    if comps and comps[0].h is not None:
+        h = comps[0].h
+        rho = math.exp(-comps[0].theta * t)
+        assert np.abs(mat @ h - rho * h).max() <= 1e-9
+        assert abs(float(comps[0].qsd @ h) - 1.0) <= 1e-9
