@@ -6,7 +6,7 @@ Harris-type drift/minorization conditions numerically.
 """
 
 from ._kernels import ResurrectionOverflowError
-from .fv import FVConfig, FVReport, q_mu_step, run_fv
+from .fv import FVConfig, FVReport, q_mu_step, run_fv, run_fv_batch
 from .metrics import (
     EmpiricalMeasure,
     estimate_theta,

@@ -1,7 +1,9 @@
 """Numeric kernels of the particle engine: counter-based draws and one step.
 
 One vectorized numpy loop (``_resample``) advances every particle by
-propose / kill / resurrect; the four step kernels supply its proposal for
+propose / kill / resurrect; the particles of R independent replicas share
+one flat array, replica-major, and each replica resurrects from its own
+source.  The four step kernels supply the loop's proposal for
 each dynamics kind: Gaussian moves (``step_gauss``), uniform redraws
 (``step_redraw``), uniformized finite chains (``step_finite``) and
 growth with multiplicative down-jumps (``step_growth_frag``).  Each kernel
@@ -13,8 +15,9 @@ with a vectorized ``drift(x)`` and ``prob(x, gamma)`` on an ``(n, d)`` array.
 Randomness is counter-based: every draw is a 64-bit hash of
 ``(seed, step, particle, counter)``, so a run is reproducible from
 ``(seed, model, config)`` alone, permuting particle labels together with
-their stream ids commutes exactly with a step, and chunking a run into
-sub-ranges of steps cannot change its output.
+their stream ids commutes exactly with a step, and neither chunking a run
+into sub-ranges of steps nor batching it with other replicas can change its
+output.
 """
 
 from __future__ import annotations
@@ -38,13 +41,17 @@ __all__ = [
 class ResurrectionOverflowError(RuntimeError):
     """Raised when the resurrection loop exceeds its iteration budget."""
 
-    def __init__(self, iterations: int, step: int = -1, particle: int = -1):
+    def __init__(self, iterations: int, step: int = -1, particle: int = -1,
+                 replica: int = -1):
         self.iterations = iterations
         self.step = step
         self.particle = particle
+        self.replica = replica
         where = ""
         if step >= 0:
             where = f" at step {step}"
+        if replica >= 0:
+            where += f", replica {replica}"
         if particle >= 0:
             where += f", particle {particle}"
         super().__init__(
@@ -71,6 +78,7 @@ _TWO_PI = 2.0 * math.pi
 _GOLDEN = np.uint64(_GOLDEN_I)
 _MIX1 = np.uint64(_MIX1_I)
 _MIX2 = np.uint64(_MIX2_I)
+_KEY1 = np.uint64(_KEY1_I)
 _KEY2 = np.uint64(_KEY2_I)
 _SH30 = np.uint64(30)
 _SH27 = np.uint64(27)
@@ -136,6 +144,26 @@ def derive_keys_np(seed: int, stream_id: int, particles: np.ndarray) -> np.ndarr
     return _mix64_np(base ^ (particles.astype(np.uint64) * _KEY2))
 
 
+def replica_bases(seeds: np.ndarray, sid0: int, n_steps: int) -> np.ndarray:
+    """``derive_step_key(seed, sid)`` for ``sid`` in ``sid0 .. sid0+n_steps-1``
+    (rows) and each uint64 seed of ``seeds`` (columns)."""
+    sids = np.arange(sid0, sid0 + n_steps, dtype=np.uint64) * _KEY1
+    return _mix64_np(_mix64_np(seeds)[None, :] ^ sids[:, None])
+
+
+def particle_column(n: int) -> np.ndarray:
+    """``i * KEY2`` for the particles ``i < n`` of a replica, the column
+    that ``batch_keys`` mixes into every replica's step base."""
+    return np.arange(n, dtype=np.uint64) * _KEY2
+
+
+def batch_keys(bases: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Replica-major keys of one step: replica r's particle i has
+    ``derive_key(seed_r, sid, i)``, from ``bases`` (one ``replica_bases`` row)
+    and ``column = particle_column(n)``."""
+    return _mix64_np((bases[:, None] ^ column).ravel())
+
+
 def _raw_np(keys: np.ndarray, ctrs: np.ndarray) -> np.ndarray:
     return _mix64_np(keys + (ctrs + _ONE_U) * _GOLDEN)
 
@@ -152,51 +180,62 @@ def _normal_np(keys: np.ndarray, ctrs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# one-step kernels (the source array is pre-sorted by the caller)
+# one-step kernels
 # ---------------------------------------------------------------------------
 
-def _resample(states, src, seed, sid, max_iters, propose, kill_prob):
-    """Advance every particle one step in place; returns ``(deaths, err)``.
+def _resample(states, source, keys, n, max_iters, propose, kill_prob):
+    """Advance every particle one step in place; returns
+    ``(deaths, replica_deaths, err)``.
 
-    ``propose(y, keys, ctrs)`` moves the rows ``y`` with the streams
-    ``(keys, ctrs)`` and advances ``ctrs`` past the draws it used; the next
-    draw kills the proposal with probability ``kill_prob(x)``.  A killed
-    particle restarts from a uniform draw of ``src`` until it survives.
-    ``err`` is the first particle still dead when the budget of
-    ``max_iters`` rounds ran out (``states`` is then left as it was), else -1.
+    ``states`` holds R replicas of ``n`` particles each, replica-major, and
+    ``keys`` their streams.  ``propose(y, keys, ctrs)`` moves the rows ``y``
+    with the streams ``(keys, ctrs)`` and advances ``ctrs`` past the draws it
+    used; the next draw kills the proposal with probability ``kill_prob(x)``.
+    A killed particle restarts from a uniform draw among the ``n`` rows of
+    its replica in ``source()``, the pre-step states sorted replica by
+    replica (called once, on the first death), until it survives.
+    ``deaths`` is the total kill count and ``replica_deaths`` the count of
+    each replica (the total itself when R = 1).  ``err`` is the first
+    particle still dead when the budget of ``max_iters`` rounds ran out
+    (``states`` is then left as it was and ``replica_deaths`` is None),
+    else -1.
     """
-    n = states.shape[0]
-    keys = derive_keys_np(seed, sid, np.arange(n, dtype=np.uint64))
-    ctrs = np.zeros(n, dtype=np.uint64)
+    ctrs = np.zeros(keys.size, dtype=np.uint64)
     out = propose(states, keys, ctrs)
     u = _u01_np(keys, ctrs)
     ctrs += _ONE_U
     dead = np.nonzero(~(u >= kill_prob(out)))[0]
-    deaths = dead.size
+    killed = [dead]
+    src = source() if dead.size else None
     rounds = 1
     while dead.size:
         if rounds > max_iters:
-            return deaths, int(dead[0])
+            return sum(d.size for d in killed), None, int(dead[0])
         ks = keys[dead]
         usel = _u01_np(ks, ctrs[dead])
         cs = ctrs[dead] + _ONE_U
-        j = np.minimum((usel * n).astype(np.int64), n - 1)
+        # row ``dead - dead % n`` is the first of the particle's replica
+        j = np.minimum((usel * n).astype(np.int64), n - 1) + (dead - dead % n)
         x = propose(src[j], ks, cs)
         u = _u01_np(ks, cs)
         ctrs[dead] = cs + _ONE_U
         ok = u >= kill_prob(x)
         out[dead[ok]] = x[ok]
         dead = dead[~ok]
-        deaths += dead.size
+        killed.append(dead)
         rounds += 1
     states[:] = out
-    return deaths, -1
+    deaths = sum(d.size for d in killed)
+    reps = states.shape[0] // n
+    if reps == 1:
+        return deaths, deaths, -1
+    return deaths, np.bincount(np.concatenate(killed) // n, minlength=reps), -1
 
 
-# Every kernel takes (states, src, seed, sid, max_iters) and the parameters
-# of its kind by keyword.
+# Every kernel takes (states, source, keys, n, max_iters), as ``_resample``
+# does, and the parameters of its kind by keyword.
 
-def step_gauss(states, src, seed, sid, max_iters, *, gamma, drift, kill,
+def step_gauss(states, source, keys, n, max_iters, *, gamma, drift, kill,
                wrap, noise):
     """``x' = wrap(x + gamma*b(x) + sqrt(gamma)*noise*xi)``, the space's wrap."""
     sqrtg = math.sqrt(gamma) * noise
@@ -208,11 +247,11 @@ def step_gauss(states, src, seed, sid, max_iters, *, gamma, drift, kill,
             ctrs += _TWO_U
         return wrap(y + gamma * drift.drift(y) + sqrtg * z)
 
-    return _resample(states, src, seed, sid, max_iters, propose,
+    return _resample(states, source, keys, n, max_iters, propose,
                      lambda x: kill.prob(x, gamma))
 
 
-def step_redraw(states, src, seed, sid, max_iters, *, gamma, kill):
+def step_redraw(states, source, keys, n, max_iters, *, gamma, kill):
     """Redraw from Uniform(0, 1) with probability ``1 - exp(-gamma)``, else stay."""
     p_move = 1.0 - math.exp(-gamma)
 
@@ -224,11 +263,11 @@ def step_redraw(states, src, seed, sid, max_iters, *, gamma, kill):
         ctrs[moved] += _ONE_U
         return x
 
-    return _resample(states, src, seed, sid, max_iters, propose,
+    return _resample(states, source, keys, n, max_iters, propose,
                      lambda x: kill.prob(x, gamma))
 
 
-def step_finite(states, src, seed, sid, max_iters, *, cum_rows, p_kill,
+def step_finite(states, source, keys, n, max_iters, *, cum_rows, p_kill,
                 unif_mean):
     """Uniformized jump chain: a Poisson(``unif_mean``) number of jumps along
     the cumulative rows ``cum_rows``, then death with probability
@@ -259,11 +298,11 @@ def step_finite(states, src, seed, sid, max_iters, *, cum_rows, p_kill,
             njumps[need] -= 1
         return x
 
-    return _resample(states, src, seed, sid, max_iters, propose,
+    return _resample(states, source, keys, n, max_iters, propose,
                      lambda x: p_kill[x])
 
 
-def step_growth_frag(states, src, seed, sid, max_iters, *, gamma, growth,
+def step_growth_frag(states, source, keys, n, max_iters, *, gamma, growth,
                      frac, jump_rate, kill):
     """``x' = x*exp(gamma*growth)``, times ``frac`` with probability
     ``1 - exp(-gamma*jump_rate)``: a flow, then a jump at the end of the step."""
@@ -277,5 +316,5 @@ def step_growth_frag(states, src, seed, sid, max_iters, *, gamma, growth,
         x[jumped] *= frac
         return x
 
-    return _resample(states, src, seed, sid, max_iters, propose,
+    return _resample(states, source, keys, n, max_iters, propose,
                      lambda x: kill.prob(x, gamma))

@@ -37,7 +37,8 @@ import numpy as np
 from . import _kernels as _k
 from .config import (METRICS, MODES, SCHEMA, ConfigError, ExperimentConfig, layout,
                      load_config)
-from .fv import FVConfig, run_fv, write_csv, write_json, write_report
+from .fv import (FVConfig, run_fv, run_fv_batch, write_csv, write_json,
+                 write_report)
 from .harris import (
     ConclusionReport,
     LyapunovBaseError,
@@ -261,13 +262,10 @@ def _oracle_measure(cfg: ExperimentConfig):
     return EmpiricalMeasure(chain.positions, trip.gamma_left, space=chain.space)
 
 
-def _sweep_point(cfg, gamma, n_particles, horizons, seed, oracle_m, burn_frac):
-    model = cfg.preset().model(gamma)
-    n_steps = int(round(max(horizons) / gamma))
-    stride = int(cfg.sweep.get("snapshot_stride", max(1, n_steps // 200)))
-    report = run_fv(model, FVConfig(n_particles=n_particles, n_steps=n_steps,
-                                    seed=seed, snapshot_stride=stride))
-    wanted = cfg.metrics or METRICS
+def _point_rows(model, report, horizons, oracle_m, burn_frac, wanted):
+    """The metric rows ``(horizon, metric, value, stderr, count)`` of one
+    sweep point's run."""
+    gamma = model.gamma
     rows = []
 
     def w1(x):
@@ -295,6 +293,20 @@ def _sweep_point(cfg, gamma, n_particles, horizons, seed, oracle_m, burn_frac):
     return rows
 
 
+def _sweep_group(cfg, gamma, n_particles, seeds, horizons, oracle_m, burn_frac):
+    """Run the points of one ``(gamma, n_particles)`` group as one batch;
+    returns each point's rows, in the order of ``seeds``."""
+    model = cfg.preset().model(gamma)
+    n_steps = int(round(max(horizons) / gamma))
+    stride = int(cfg.sweep.get("snapshot_stride", max(1, n_steps // 200)))
+    reports = run_fv_batch(model, [FVConfig(n_particles=n_particles, n_steps=n_steps,
+                                            seed=seed, snapshot_stride=stride)
+                                   for seed in seeds])
+    wanted = cfg.metrics or METRICS
+    return [_point_rows(model, rep, horizons, oracle_m, burn_frac, wanted)
+            for rep in reports]
+
+
 def _run_sweep(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
     sw = cfg.sweep
     gammas = [float(g) for g in sw["gammas"]]
@@ -310,21 +322,25 @@ def _run_sweep(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
     mhash = _model_hash({"name": cfg.model_name, "params": cfg.model_params})
 
     points = []
+    groups = {}  # (gamma, n) -> its points' seeds, in point order
     for gamma in gammas:
         for n in ns:
             for _ in range(n_seeds):
                 seed = _k.derive_key(cfg.seed, len(points), 0) % (2 ** 62)
                 points.append((gamma, n, seed))
+                groups.setdefault((gamma, n), []).append(seed)
 
-    def work(point):
-        gamma, n, seed = point
-        return _sweep_point(cfg, gamma, n, horizons, seed, oracle_m, burn_frac)
+    def work(group):
+        (gamma, n), seeds = group
+        return _sweep_group(cfg, gamma, n, seeds, horizons, oracle_m, burn_frac)
 
-    # every point runs on the pool, in any order; rows are written in
-    # point order, so the output is the same for every --jobs
+    # every (gamma, N) group runs as one batch on the pool, in any order;
+    # rows are written in point order, so the output is the same for every
+    # --jobs
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(work, points))
-
+        group_rows = {key: iter(rows) for key, rows
+                      in zip(groups, pool.map(work, groups.items()))}
+    results = [next(group_rows[(gamma, n)]) for gamma, n, _ in points]
     rows = []
     table = {}
     for (gamma, n, seed), point_rows in zip(points, results):
@@ -387,13 +403,15 @@ def _demo_noncommutation(out: pathlib.Path, seed: int) -> None:
     rows = []
     for n in (2, 16, 256):
         for steps in (20, 200, 2000):
+            # the replicates of one (n, steps) cell run as one batch
+            reports = run_fv_batch(
+                model, [FVConfig(n_particles=n, n_steps=steps,
+                                 seed=_k.derive_key(seed, n * 100003 + steps, r)
+                                 % (2 ** 62), snapshot_stride=steps)
+                        for r in range(replicates)],
+                init=("dirac", TwoPoint.TRANSIENT))
             mass = 0.0
-            for r in range(replicates):
-                seed_r = _k.derive_key(seed, n * 100003 + steps, r) % (2 ** 62)
-                rep = run_fv(model, FVConfig(n_particles=n, n_steps=steps,
-                                             seed=seed_r,
-                                             snapshot_stride=steps),
-                             init=("dirac", TwoPoint.TRANSIENT))
+            for rep in reports:
                 mass += float(np.mean(rep.final_states == TwoPoint.TRANSIENT))
             rows.append({"n_particles": n, "steps": steps,
                          "time": steps * gamma,

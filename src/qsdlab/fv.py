@@ -6,7 +6,9 @@ empirical measure (frozen for the whole step), retrying until survival.
 The product form over particles makes updates independent within a step;
 per-particle counter-based streams keyed by (run seed, step, particle) make
 the result reproducible regardless of scheduling and exactly exchangeable
-under joint permutation of labels and streams.
+under joint permutation of labels and streams.  ``run_fv_batch`` advances
+runs that differ only in seed as one particle array, each run resurrecting
+from its own particles, so each equals its single run bit for bit.
 
 Every data file of the package is written by ``write_json`` or
 ``write_csv``, so each format is spelled out once; ``write_report`` writes
@@ -33,6 +35,7 @@ __all__ = [
     "q_mu_step",
     "fv_step_reference",
     "run_fv",
+    "run_fv_batch",
     "init_states",
     "write_report",
     "write_json",
@@ -130,17 +133,24 @@ def q_mu_step(model: KilledModel, x, source, rng: Stream,
     return prop, deaths
 
 
-def _sorted_source(states: np.ndarray) -> np.ndarray:
-    """Canonically ordered copy of the pre-step states, rows in lexicographic order.
+def _sorted_source(states: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Canonically ordered copy of the pre-step states: the rows of each
+    replica of ``n`` particles (all of ``states`` by default) in
+    lexicographic order, replica by replica.
 
     Resurrection draws index this sorted copy, so the draw depends only on
-    the multiset of states; that is what makes label permutation commute
-    with a step exactly.
+    the multiset of its replica's states; that is what makes label
+    permutation commute with a step exactly.
     """
+    n = states.shape[0] if n is None else n
+    reps = states.shape[0] // n
     if states.ndim == 1 or states.shape[1] == 1:
-        return np.sort(states, axis=0)
-    order = np.lexsort(tuple(states[:, k] for k in range(states.shape[1] - 1, -1, -1)))
-    return states[order].copy()
+        return np.sort(states.reshape(reps, n, *states.shape[1:]),
+                       axis=1).reshape(states.shape)
+    # lexsort's last key is the primary one: replica, then x0, x1, ...
+    order = np.lexsort((*(states[:, k] for k in range(states.shape[1] - 1, -1, -1)),
+                        np.arange(states.shape[0]) // n))
+    return states[order]
 
 
 def fv_step_reference(model: KilledModel, states: np.ndarray, seed: int,
@@ -170,20 +180,78 @@ def fv_step_reference(model: KilledModel, states: np.ndarray, seed: int,
 # the engine
 # ---------------------------------------------------------------------------
 
-def _run_chunk(model: KilledModel, states: np.ndarray, seed: int, sid0: int,
+def _run_chunk(model: KilledModel, states: np.ndarray, seed, sid0: int,
                n_steps: int, max_iters: int) -> np.ndarray:
-    """Advance ``n_steps`` steps in place; returns per-step death counts."""
-    deaths = np.zeros(n_steps, dtype=np.int64)
-    if n_steps == 0:
-        return deaths
-    step = model.move.kernel(model)
-    for s in range(n_steps):
-        src = _sorted_source(states)
-        deaths[s], err = step(states, src, seed, sid0 + s, max_iters)
-        if err >= 0:
-            raise ResurrectionOverflowError(max_iters, step=sid0 - 1 + s,
-                                            particle=err)
-    return deaths
+    """Advance ``n_steps`` steps in place; returns per-step death counts.
+
+    ``seed`` is one seed, or the seeds of R replicas whose particles
+    ``states`` holds replica-major, ``len(states) // R`` each; the counts
+    are then an ``(n_steps, R)`` array.  The source of a step is sorted only
+    when some particle dies in it.
+    """
+    seeds = np.atleast_1d(np.asarray(seed, dtype=np.uint64))
+    reps = seeds.size
+    n = states.shape[0] // reps
+    deaths = np.zeros((n_steps, reps), dtype=np.int64)
+    if n_steps:
+        step = model.move.kernel(model)
+        bases = _k.replica_bases(seeds, sid0, n_steps)
+        column = _k.particle_column(n)
+
+        def source():
+            return _sorted_source(states, n)
+
+        for s in range(n_steps):
+            _, per_replica, err = step(states, source,
+                                       _k.batch_keys(bases[s], column), n, max_iters)
+            if err >= 0:
+                raise ResurrectionOverflowError(
+                    max_iters, step=sid0 - 1 + s, particle=err % n,
+                    replica=err // n if reps > 1 else -1)
+            deaths[s] = per_replica
+    return deaths if np.ndim(seed) else deaths[:, 0]
+
+
+def run_fv_batch(model: KilledModel, configs, init="uniform") -> list:
+    """Run R replicas of the particle system as one batch; returns their
+    ``FVReport``s in the order of ``configs``.
+
+    The configs may differ only in ``seed`` (ValueError otherwise).  All
+    replicas advance together in one flat array of R·N particles, and
+    replica r's report equals ``run_fv(model, configs[r], init)`` bit for
+    bit, except ``elapsed``, which is the batch's wall time.  An overflow
+    raises the step and particle that the single run of the first
+    overflowing replica reports, and names that replica.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("a batch needs at least one config")
+    shared = dict(asdict(configs[0]), seed=0)
+    if any(dict(asdict(c), seed=0) != shared for c in configs):
+        raise ValueError("the configs of a batch may differ only in seed")
+    t0 = time.perf_counter()
+    cfg = configs[0]
+    n = cfg.n_particles
+    seeds = [c.seed for c in configs]
+    states = np.concatenate([init_states(model, n, s, init) for s in seeds])
+    deaths = np.zeros((cfg.n_steps, len(seeds)), dtype=np.int64)
+    snapshots = [(0, states.copy())]
+    done = 0
+    while done < cfg.n_steps:
+        chunk = min(cfg.snapshot_stride, cfg.n_steps - done)
+        deaths[done:done + chunk] = _run_chunk(
+            model, states, seeds, done + 1, chunk, cfg.max_resurrection_iters)
+        done += chunk
+        snapshots.append((done, states.copy()))
+    elapsed = time.perf_counter() - t0
+    # each replica's snapshots are views of the batch's
+    return [FVReport(model=model.describe(),
+                     config=dict(asdict(c), gamma=model.gamma),
+                     deaths=deaths[:, r].copy(),
+                     snapshots=[(s, arr[r * n:(r + 1) * n]) for s, arr in snapshots],
+                     final_states=states[r * n:(r + 1) * n].copy(),
+                     elapsed=elapsed)
+            for r, c in enumerate(configs)]
 
 
 def run_fv(model: KilledModel, config: FVConfig, init="uniform") -> FVReport:
@@ -191,25 +259,9 @@ def run_fv(model: KilledModel, config: FVConfig, init="uniform") -> FVReport:
 
     Deterministic given (seed, model, config): the same inputs reproduce the
     report bit for bit, and the snapshot stride has no effect on the
-    trajectory itself.
+    trajectory itself.  It is the one-replica batch of ``run_fv_batch``.
     """
-    t0 = time.perf_counter()
-    states = init_states(model, config.n_particles, config.seed, init)
-    deaths = np.zeros(config.n_steps, dtype=np.int64)
-    snapshots = [(0, states.copy())]
-    done = 0
-    while done < config.n_steps:
-        chunk = min(config.snapshot_stride, config.n_steps - done)
-        deaths[done:done + chunk] = _run_chunk(
-            model, states, config.seed, done + 1, chunk,
-            config.max_resurrection_iters)
-        done += chunk
-        snapshots.append((done, states.copy()))
-    elapsed = time.perf_counter() - t0
-    return FVReport(model=model.describe(),
-                    config=dict(asdict(config), gamma=model.gamma),
-                    deaths=deaths, snapshots=snapshots,
-                    final_states=states.copy(), elapsed=elapsed)
+    return run_fv_batch(model, [config], init)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -348,14 +348,14 @@ def _graph_period(adj: sp.csr_matrix) -> int:
     """Period of a strongly connected directed graph (gcd of cycle lengths).
 
     It is the gcd of ``level[u] + 1 - level[v]`` over all edges ``u -> v``,
-    with ``level`` the BFS distance from state 0.
+    with ``level`` the BFS distance from state 0, and 0 for a graph with no
+    edge (one state without a self-loop), which has no cycle.
     """
     level = shortest_path(adj, directed=True, unweighted=True,
                           indices=0).astype(np.int64)
     coo = adj.tocoo()
     diffs = level[coo.row] + 1 - level[coo.col]
-    g = int(np.gcd.reduce(np.abs(diffs))) if diffs.size else 0
-    return g if g > 0 else 1
+    return int(np.gcd.reduce(np.abs(diffs))) if diffs.size else 0
 
 
 def _communicating_classes(adj: sp.csr_matrix) -> list:
@@ -377,7 +377,8 @@ def perron_triplet(m: KilledSemigroupMatrix):
     n = m.n_states
     adj = sp.csr_matrix((mat > 0.0).astype(np.int8))
     classes = _communicating_classes(adj)
-    # the period is defined for a single class; 0 marks several classes
+    # the period is defined for a single class with a cycle; 0 marks several
+    # classes, or one state without a self-loop
     period = _graph_period(adj) if len(classes) == 1 else 0
     if period != 1:
         return ReducibilityDiagnostic(classes=classes, period=period, n_states=n)

@@ -6,15 +6,18 @@ Models are drawn from every proposal kind: Gaussian moves on the 1-D and
 growth/fragmentation flow.  One engine step must equal the particle-by-
 particle reference ``fv_step_reference`` bit for bit, for every kind, and
 the reference must commute with a joint permutation of particle labels and
-stream ids.
+stream ids.  A batch of replicas must equal the single runs it batches, bit
+for bit, overflows included.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qsdlab as q
-from qsdlab.fv import _run_chunk, fv_step_reference, init_states
+from qsdlab.fv import FVConfig, _run_chunk, fv_step_reference, init_states, run_fv, \
+    run_fv_batch
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
 MAX_ITERS = 1_000_000
@@ -96,3 +99,93 @@ def test_reference_commutes_with_joint_permutation(case, data):
                                    stream_ids=ids[perm], max_iters=MAX_ITERS)
     assert np.array_equal(out_b, out_a[perm])
     assert d_a == d_b
+
+
+# ---------------------------------------------------------------------------
+# batched replicas
+# ---------------------------------------------------------------------------
+
+@st.composite
+def batches(draw):
+    """``(model, configs, init)``: up to 4 replicas, seeds possibly repeated,
+    of at most 12 particles and 30 steps, from the uniform law or a Dirac
+    state drawn from it."""
+    model = draw(presets()).model(draw(_unit(0.005, 0.5)))
+    n, n_steps = draw(st.integers(1, 12)), draw(st.integers(0, 30))
+    stride = draw(st.integers(1, 10))
+    seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        seeds.append(draw(st.sampled_from(seeds)))  # a repeated seed
+    configs = [FVConfig(n_particles=n, n_steps=n_steps, seed=s,
+                        snapshot_stride=stride) for s in seeds]
+    init = "uniform"
+    if draw(st.booleans()):
+        x = init_states(model, 1, draw(st.integers(0, 2 ** 32)))[0]
+        init = ("dirac", x.tolist() if np.ndim(x) else int(x))
+        # a Dirac state must lie where a particle can survive
+        assume(np.all(model.kill.prob(model.space.states(init[1]), model.gamma) < 1.0))
+    return model, configs, init
+
+
+def _same_report(a, b):
+    assert np.array_equal(a.deaths, b.deaths)
+    assert [s for s, _ in a.snapshots] == [s for s, _ in b.snapshots]
+    for (_, x), (_, y) in zip(a.snapshots, b.snapshots):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert np.array_equal(a.final_states, b.final_states)
+    assert a.model == b.model and a.config == b.config
+
+
+@SETTINGS
+@given(batches())
+@example((q.TorusDiffusion(dim=2, kill=0.8).model(0.05),
+          [FVConfig(n_particles=9, n_steps=12, seed=s, snapshot_stride=5)
+           for s in (3, 3, 2 ** 64 - 1)], "uniform"))
+def test_batch_equals_its_single_runs(case):
+    model, configs, init = case
+    batch = run_fv_batch(model, configs, init)
+    assert len(batch) == len(configs)
+    for cfg, rep in zip(configs, batch):
+        _same_report(rep, run_fv(model, cfg, init))
+
+
+def _overflow_or_none(model, cfg):
+    try:
+        run_fv(model, cfg, init=("dirac", 0.5))
+    except q.ResurrectionOverflowError as err:
+        return err.step, err.particle
+    return None
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=6),
+       st.integers(1, 5))
+def test_batch_overflow_names_the_single_runs_step_and_particle(seeds, budget):
+    # about half the proposals land outside (0.3, 0.7), so a budget of a few
+    # rounds runs out at a different step in each replica, or never
+    model = q.KilledModel(name="narrow", space=q.Interval(), gamma=0.1,
+                          move=q.GaussMove(), kill=q.IntervalKill(0.3, 0.7))
+    configs = [FVConfig(n_particles=4, n_steps=6, seed=s, snapshot_stride=2,
+                        max_resurrection_iters=budget) for s in seeds]
+    singles = [_overflow_or_none(model, c) for c in configs]
+    failed = [(s[0], r, s[1]) for r, s in enumerate(singles) if s is not None]
+    if not failed:
+        run_fv_batch(model, configs, init=("dirac", 0.5))
+        return
+    step, replica, particle = min(failed)
+    with pytest.raises(q.ResurrectionOverflowError) as err:
+        run_fv_batch(model, configs, init=("dirac", 0.5))
+    assert (err.value.step, err.value.particle) == (step, particle)
+    assert err.value.iterations == budget
+    assert err.value.replica == (replica if len(seeds) > 1 else -1)
+
+
+def test_batch_configs_may_differ_only_in_seed():
+    model = q.TwoPoint(1.0, 2.0).model(0.1)
+    base = FVConfig(n_particles=4, n_steps=3, seed=1)
+    for other in (dict(n_particles=5), dict(n_steps=4), dict(snapshot_stride=2),
+                  dict(max_resurrection_iters=9)):
+        with pytest.raises(ValueError, match="only in seed"):
+            run_fv_batch(model, [base, FVConfig(**{**vars(base), "seed": 2, **other})])
+    with pytest.raises(ValueError, match="at least one"):
+        run_fv_batch(model, [])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,17 @@ def test_periodic_support_detected():
     for mat in (p, scipy.linalg.block_diag(p, [[0.5]])):
         with pytest.raises(ValueError, match="period 3"):
             list_qsds(KilledSemigroupMatrix(mat, 1.0))
+
+
+def test_state_without_a_cycle_has_no_triplet():
+    # one state without a self-loop: a diagnostic at once, no power iteration
+    # dividing by rho = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = perron_triplet(KilledSemigroupMatrix(np.zeros((1, 1)), 1.0))
+    assert isinstance(diag, ReducibilityDiagnostic)
+    assert diag.period == 0
+    assert [c.tolist() for c in diag.classes] == [[0]]
 
 
 def test_house_grid_matches_root_find(house_oracle):
