@@ -11,9 +11,10 @@ sweep      grid over (gamma, N, horizon, seed), CSV rows + fitted-rate summary
 demo       built-in named experiments (noncommutation, a3_failure)
 
 Each mode is one runner in ``_RUNNERS``.  Every data file goes through
-``fv.write_json`` or ``fv.write_csv``.  ``sweep`` runs its points on a pool
-of ``--jobs`` threads and writes the rows in point order, so its files are
-the same for every ``--jobs``.
+``fv.write_json`` or ``fv.write_csv``.  ``sweep`` runs each
+``(gamma, n_particles)`` group of its points as one batch of replicas, the
+groups on a pool of ``--jobs`` threads, and writes the rows in point order,
+so its files are the same for every ``--jobs``.
 
 Exit codes: 0 success, 2 bad config (includes unknown presets and invalid
 parameters), 3 runtime failure, 4 unwritable output.
