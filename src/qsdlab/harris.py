@@ -16,10 +16,13 @@ failure (a ratio sequence decaying geometrically) or a pass up to the
 tested depth, and the ratio trend is always reported.
 
 The search takes ``M V`` once per ``V`` and one orbit ``M psi, M^2 psi, ...``
-per ``psi``, and evaluates every (V, K, psi) candidate from those products;
-:func:`check_assumptions` runs the same evaluator on one candidate.  The
-conclusion checks need a primitive ``M``: on a reducible chain
-:func:`verify_conclusion` returns the oracle's reducibility diagnostic.
+per ``psi``.  A candidate's ``nu``, ``beta``, ``c`` and comparability
+sequence depend on its (K, psi) pair alone, and sublevel sets of different
+``V`` repeat, so the search computes that part once per distinct pair and
+adds ``alpha`` and ``C`` per ``V``; :func:`check_assumptions` runs the same
+two functions on one candidate.  The conclusion checks need a primitive
+``M``: on a reducible chain :func:`verify_conclusion` returns the oracle's
+reducibility diagnostic.
 """
 
 from __future__ import annotations
@@ -175,47 +178,40 @@ def check_assumptions(m: KilledSemigroupMatrix, V: np.ndarray, psi: np.ndarray,
             raise ValueError("nu must be a probability vector")
         if nu[~mask].sum() > 1e-12:
             raise ValueError("nu must be supported by K")
-    return _certify(m, V, psi, m.M @ V, _orbit(m.M, psi, n_max), k_idx, mask,
-                    nu, n_max)
+    part = _k_psi_part(m.M, psi, _orbit(m.M, psi, n_max), k_idx, mask, nu, n_max)
+    return _certify(m, V, psi, m.M @ V, k_idx, mask, part)
 
 
-def _certify(m: KilledSemigroupMatrix, V, psi, mv, orbit, k_idx, mask, nu,
-             n_max: int) -> HarrisCertificate:
-    """The certificate of one candidate from ``mv = M V`` and
-    ``orbit = _orbit(M, psi, n_max)``; ``nu`` None takes the envelope."""
-    mat = m.M
+def _k_psi_part(mat, psi, orbit, k_idx, mask, nu, n_max: int):
+    """The V-free part of a certificate: ``(nu, ratio sequence, verdicts)``
+    of one (K, psi) pair from ``orbit = _orbit(mat, psi, n_max)``, with the
+    mass, minorization and comparability verdicts; ``nu`` None takes the
+    envelope."""
     mpsi = orbit[0]
     if nu is None:
-        # for each atom y in K the binding ratio is min_{x in K}
-        # M[x, y] psi[y] / (M psi)(x); normalizing that lower envelope gives
-        # the measure with the largest total dominated mass
-        env = (mat[np.ix_(k_idx, k_idx)] * psi[k_idx][None, :]
-               / mpsi[k_idx][:, None]).min(axis=0)
-        nu = np.zeros(m.n_states)
+        # atom domination M[x, y] psi[y] / (M psi)(x) for x, y in K; for each
+        # atom y the binding ratio is its column minimum, and normalizing that
+        # lower envelope gives the measure with the largest dominated mass
+        dom = (mat[np.ix_(k_idx, k_idx)] * psi[k_idx][None, :]
+               / mpsi[k_idx][:, None])
+        env = dom.min(axis=0)
+        nu = np.zeros(mat.shape[0])
         nu[k_idx] = env / env.sum() if env.sum() > 0 else 1.0 / k_idx.size
-
-    drift_ratio = mv / V
-    outside = ~mask
-    if outside.any():
-        alpha = float(drift_ratio[outside].max())
-        w_alpha = int(np.nonzero(outside)[0][np.argmax(drift_ratio[outside])])
+        dom = dom[:, nu[k_idx] > 0]
     else:
-        alpha = 0.0
-        w_alpha = None
-    C = float(np.max((mv - alpha * V)[mask] / psi[mask]))
-    C = max(C, 0.0)
+        # a given nu may put up to 1e-12 of its mass outside K
+        supp = np.nonzero(nu > 0)[0]
+        dom = mat[np.ix_(k_idx, supp)] * psi[supp][None, :] / mpsi[k_idx][:, None]
+    nu_supp = nu[nu > 0]
 
     mass_ratio = mpsi / psi
     beta = float(mass_ratio.min())
     w_beta = int(np.argmin(mass_ratio))
 
     # minorization by atom domination on K
-    supp = np.nonzero(nu > 0)[0]
-    ratios = (mat[np.ix_(k_idx, supp)] * psi[supp][None, :]
-              / mpsi[k_idx][:, None]) / nu[supp][None, :]
+    ratios = dom / nu_supp[None, :]
     c_val = float(ratios.min())
-    flat = int(np.argmin(ratios))
-    w_c = int(k_idx[flat // supp.size])
+    w_c = int(k_idx[int(np.argmin(ratios)) // nu_supp.size])
 
     # comparability ratios along the renormalized orbit; zero past its end
     seq = np.zeros(n_max)
@@ -237,19 +233,41 @@ def _certify(m: KilledSemigroupMatrix, V, psi, mv, orbit, k_idx, mask, nu,
                               f"at rate {fit.rate:.4g} per step (r2={fit.r2:.3f})")
     if d_val <= 0:
         decay_note = "ratio hit zero"
-
-    verdicts = {
-        A_DRIFT: Verdict(passed=bool(alpha < beta), value=alpha, witness=w_alpha,
-                         note="alpha computed over states outside K"),
+    return nu, seq, {
         A_MASS: Verdict(passed=bool(beta > 0), value=beta, witness=w_beta),
         A_MINOR: Verdict(passed=bool(c_val > 0), value=c_val, witness=w_c),
         A_COMPARE: Verdict(passed=comp_pass, value=d_val, witness=w_d,
                            note=decay_note),
     }
+
+
+def _certify(m: KilledSemigroupMatrix, V, psi, mv, k_idx, mask,
+             part) -> HarrisCertificate:
+    """The certificate of one candidate from ``mv = M V`` and the
+    ``_k_psi_part`` of its (K, psi) pair: adds alpha and C."""
+    nu, seq, shared = part
+    drift_ratio = mv / V
+    outside = ~mask
+    if outside.any():
+        alpha = float(drift_ratio[outside].max())
+        w_alpha = int(np.nonzero(outside)[0][np.argmax(drift_ratio[outside])])
+    else:
+        alpha = 0.0
+        w_alpha = None
+    C = float(np.max((mv - alpha * V)[mask] / psi[mask]))
+    C = max(C, 0.0)
+
+    beta = shared[A_MASS].value
+    verdicts = {
+        A_DRIFT: Verdict(passed=bool(alpha < beta), value=alpha, witness=w_alpha,
+                         note="alpha computed over states outside K"),
+        **shared,
+    }
     return HarrisCertificate(t0=m.t0, V=V, psi=psi, K=k_idx, nu=nu,
-                             alpha=alpha, beta=beta, C=C, c=min(c_val, 1.0),
-                             d=d_val, verdicts=verdicts, ratio_sequence=seq,
-                             n_max=n_max)
+                             alpha=alpha, beta=beta, C=C,
+                             c=min(shared[A_MINOR].value, 1.0),
+                             d=shared[A_COMPARE].value, verdicts=verdicts,
+                             ratio_sequence=seq, n_max=seq.size)
 
 
 def check_irreducibility(chain: FiniteKilledChain, K, t0: float):
@@ -405,13 +423,20 @@ def search_lyapunov_pair(chain: FiniteKilledChain, t0: Optional[float] = None,
         t0 = default_horizon(chain)
     m = killed_semigroup(chain, t0)
     orbits = [_orbit(m.M, psi, n_max) for psi in psis]
+    # sublevel sets repeat across V (q < 1 and q > 1 give two orders), so
+    # each (K, psi) part is computed once, at its first candidate
+    parts = {}
     best = None
     best_key = None
     for V in Vs:
         mv = m.M @ V
         for k_idx, mask in _sublevel_sets(V, k_fractions):
-            for psi, orbit in zip(psis, orbits):
-                cert = _certify(m, V, psi, mv, orbit, k_idx, mask, None, n_max)
+            for j, (psi, orbit) in enumerate(zip(psis, orbits)):
+                part = parts.get((k_idx.tobytes(), j))
+                if part is None:
+                    part = parts[k_idx.tobytes(), j] = _k_psi_part(
+                        m.M, psi, orbit, k_idx, mask, None, n_max)
+                cert = _certify(m, V, psi, mv, k_idx, mask, part)
                 n_pass = sum(v.passed for v in cert.verdicts.values())
                 key = (n_pass == 4, n_pass, cert.margin, -cert.C)
                 if best_key is None or key > best_key:

@@ -114,7 +114,7 @@ def w1_circle(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     candidates = {float(gs[min(k, len(gs) - 1)]), float(gs[min(k + 1, len(gs) - 1)])}
     # fsum makes the value independent of summation order, so the distance
     # is exactly symmetric in its arguments
-    return min(math.fsum(ls * np.abs(gs - s)) for s in candidates)
+    return min(math.fsum((ls * np.abs(gs - s)).tolist()) for s in candidates)
 
 
 def w1_line(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:

@@ -12,7 +12,7 @@ import scipy.linalg
 
 import qsdlab as q
 from qsdlab.cli import main as cli_main
-from qsdlab.fv import FVConfig, init_states, run_fv
+from qsdlab.fv import FVConfig, init_states, run_fv, run_fv_batch
 from qsdlab.harris import (
     check_assumptions,
     check_irreducibility,
@@ -111,10 +111,11 @@ def test_c04_particle_marginal_matches_conditional_law():
             eta = eta @ step_kernel
             eta /= eta.sum()
         counts = np.zeros(2)
-        for seed in range(n_runs):
-            rep = run_fv(model, FVConfig(n_particles=1000, n_steps=n_steps,
-                                         seed=seed, snapshot_stride=n_steps),
-                         init=("dirac", q.TwoPoint.TRANSIENT))
+        reps = run_fv_batch(model, [FVConfig(n_particles=1000, n_steps=n_steps,
+                                             seed=seed, snapshot_stride=n_steps)
+                                    for seed in range(n_runs)],
+                            init=("dirac", q.TwoPoint.TRANSIENT))
+        for rep in reps:
             counts += np.bincount(rep.final_states, minlength=2)
         # by exchangeability the averaged occupation estimates the marginal
         assert tv_finite(counts / counts.sum(), eta) <= 0.05

@@ -275,6 +275,20 @@ def test_unwritable_output_dir_is_io_error(tmp_path):
     assert code == EXIT_IO
 
 
+def test_output_dir_under_a_regular_file_is_io_error(tmp_path, capsys):
+    # unlike permission bits, a file in the path blocks root as well
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "oracle",
+        "model": {"name": "two_point", "params": {"a": 1.0, "b": 2.0}},
+        "output_dir": str(blocker / "out"),
+    })
+    assert main(["oracle", "--config", cfg]) == EXIT_IO
+    assert "Not a directory" in capsys.readouterr().err
+    assert blocker.is_file()
+
+
 def test_simulate_writes_report_and_snapshots(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "mode": "simulate",

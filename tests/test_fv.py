@@ -126,16 +126,13 @@ def test_two_point_pair_law_matches_enumeration():
     single = land / land.sum()
     expect = np.outer(single, single).ravel()  # independent given the source
 
+    # one batch of 100,000 two-particle replicas, replica r with seed r
     runs = 100_000
-    counts = np.zeros(4)
-    states = np.empty(2, dtype=np.int64)
-    from qsdlab.fv import _run_chunk
-
-    for r in range(runs):
-        states[:] = 1
-        _run_chunk(model, states, seed=r, sid0=1, n_steps=1, max_iters=10 ** 6)
-        counts[2 * states[0] + states[1]] += 1
-    freq = counts / runs
+    states = np.ones(2 * runs, dtype=np.int64)
+    _run_chunk(model, states, seed=np.arange(runs), sid0=1, n_steps=1,
+               max_iters=10 ** 6)
+    pairs = states.reshape(runs, 2)
+    freq = np.bincount(2 * pairs[:, 0] + pairs[:, 1], minlength=4) / runs
     se = np.sqrt(expect * (1 - expect) / runs)
     assert np.all(np.abs(freq - expect) <= 3 * se + 1e-4)
 

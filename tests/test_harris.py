@@ -175,18 +175,32 @@ def test_search_inconclusive_for_negative_criterion():
     assert not cert.all_pass
 
 
-def test_search_passes_conservative_drift_chain():
+def _conservative_drift_chain():
     # no killing, strong pull toward low states: the classical drift picture
     chain = q.BirthDeath(1.0, 4.0, 1.0, 1e-9, truncation=60).chain()
-    chain = q.FiniteKilledChain(chain.jump_rates, np.zeros(60))
-    cert, m = search_lyapunov_pair(chain)
+    return q.FiniteKilledChain(chain.jump_rates, np.zeros(60))
+
+
+def test_search_passes_conservative_drift_chain():
+    cert, m = search_lyapunov_pair(_conservative_drift_chain())
     assert cert.all_pass
     assert abs(cert.beta - 1.0) < 1e-9  # conservative: psi = 1 is invariant
 
 
-@pytest.mark.parametrize("truncation", [12, 60])
-def test_search_returns_the_best_single_check(truncation):
-    chain = q.BirthDeath(4.0, 1.0, 1.0, 0.1, truncation=truncation).chain()
+SEARCH_CHAINS = {
+    "12": lambda: q.BirthDeath(4.0, 1.0, 1.0, 0.1, truncation=12).chain(),
+    "40": lambda: q.BirthDeath(4.0, 1.0, 1.0, 0.1, truncation=40).chain(),
+    "60": lambda: q.BirthDeath(4.0, 1.0, 1.0, 0.1, truncation=60).chain(),
+    "two_point": lambda: q.TwoPoint(1.0, 2.0).chain(),
+    "conservative_drift": _conservative_drift_chain,
+}
+
+
+@pytest.mark.parametrize("case", list(SEARCH_CHAINS))
+def test_search_returns_the_best_single_check(case):
+    # the search shares each (K, psi) part between the V that give the same
+    # K; it must still pick, bit for bit, what one check per candidate picks
+    chain = SEARCH_CHAINS[case]()
     # the search's default grid
     q1s = (0.5, 0.625, 0.75, 0.9, 1.1, 1.3, 1.6, 2.0)
     q2s = (0.5, 0.625, 0.75, 0.9, 1.0, 1.1, 1.3, 1.6)
@@ -207,6 +221,30 @@ def test_search_returns_the_best_single_check(truncation):
                 if best_key is None or key > best_key:
                     best, best_key = one, key
     assert cert.as_dict() == best.as_dict()
+    if case == "two_point":
+        assert not cert.all_pass
+
+
+@pytest.mark.parametrize("outside", [0.0, 1e-13])
+def test_explicit_nu_on_part_of_k_sets_the_minorization(outside):
+    chain = q.BirthDeath(4.0, 1.0, 1.0, 0.1, truncation=12).chain()
+    m = killed_semigroup(chain, 1.0)
+    psi = 0.9 ** np.arange(12.0)
+    k_idx = np.arange(6)
+    nu = np.zeros(12)
+    nu[[1, 3]] = (0.25, 0.75 - outside)
+    nu[9] = outside  # a given nu may put up to 1e-12 of its mass off K
+    cert = check_assumptions(m, np.ones(12), psi, k_idx, nu=nu)
+    assert cert.nu is not None and np.array_equal(cert.nu, nu)
+    mpsi = m.M @ psi
+    supp = np.nonzero(nu > 0)[0]
+    ratio, witness = min((m.M[x, y] * psi[y] / mpsi[x] / nu[y], x)
+                         for x in k_idx for y in supp)
+    assert cert.verdicts[A_MINOR].value == ratio
+    assert cert.verdicts[A_MINOR].witness == witness
+    assert cert.c == min(ratio, 1.0)
+    g = np.linalg.matrix_power(m.M, 2) @ psi / psi
+    assert abs(cert.ratio_sequence[1] - (nu @ g) / g[k_idx].max()) <= 1e-12
 
 
 def test_envelope_measure_is_probability_on_k():
