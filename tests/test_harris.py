@@ -235,7 +235,7 @@ def test_explicit_nu_on_part_of_k_sets_the_minorization(outside):
     nu[[1, 3]] = (0.25, 0.75 - outside)
     nu[9] = outside  # a given nu may put up to 1e-12 of its mass off K
     cert = check_assumptions(m, np.ones(12), psi, k_idx, nu=nu)
-    assert cert.nu is not None and np.array_equal(cert.nu, nu)
+    assert np.array_equal(cert.nu, nu)
     mpsi = m.M @ psi
     supp = np.nonzero(nu > 0)[0]
     ratio, witness = min((m.M[x, y] * psi[y] / mpsi[x] / nu[y], x)
