@@ -1,9 +1,11 @@
 """Numeric kernels of the particle engine: counter-based draws and one step.
 
 One vectorized numpy loop (``_resample``) advances every particle by
-propose / kill / resurrect; the particles of R independent replicas share
-one flat array, replica-major, and each replica resurrects from its own
-source.  The four step kernels supply the loop's proposal for
+propose / kill / resurrect; the particles of R independent replicas, of
+possibly different sizes, share one flat array, replica-major, and each
+replica resurrects from its own source.  ``replica_layout`` derives once,
+from the replicas' particle counts, each particle's replica, first row and
+replica size.  The four step kernels supply the loop's proposal for
 each dynamics kind: Gaussian moves (``step_gauss``), uniform redraws
 (``step_redraw``), uniformized finite chains (``step_finite``) and
 growth with multiplicative down-jumps (``step_growth_frag``).  Each kernel
@@ -23,6 +25,7 @@ output.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,17 +154,38 @@ def replica_bases(seeds: np.ndarray, sid0: int, n_steps: int) -> np.ndarray:
     return _mix64_np(_mix64_np(seeds)[None, :] ^ sids[:, None])
 
 
-def particle_column(n: int) -> np.ndarray:
-    """``i * KEY2`` for the particles ``i < n`` of a replica, the column
-    that ``batch_keys`` mixes into every replica's step base."""
-    return np.arange(n, dtype=np.uint64) * _KEY2
+class ReplicaLayout(NamedTuple):
+    """Where each replica of a batch sits in the flat particle array:
+    ``counts[r]`` particles of replica r, replica-major, and per particle
+    its ``replica``, the ``first`` row of that replica and its ``size``."""
+
+    counts: np.ndarray
+    replica: np.ndarray
+    first: np.ndarray
+    size: np.ndarray
 
 
-def batch_keys(bases: np.ndarray, column: np.ndarray) -> np.ndarray:
+def replica_layout(counts) -> ReplicaLayout:
+    """The layout of replicas of ``counts`` particles each, in order."""
+    counts = np.asarray(counts, dtype=np.int64)
+    replica = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    return ReplicaLayout(counts, replica, starts[replica], counts[replica])
+
+
+def particle_column(counts) -> np.ndarray:
+    """``i * KEY2`` for the particles ``i < counts[r]`` of each replica r,
+    replica after replica: the column that ``batch_keys`` mixes into the
+    step bases."""
+    lay = replica_layout(counts)
+    return (np.arange(lay.replica.size) - lay.first).astype(np.uint64) * _KEY2
+
+
+def batch_keys(bases: np.ndarray, column: np.ndarray, counts) -> np.ndarray:
     """Replica-major keys of one step: replica r's particle i has
-    ``derive_key(seed_r, sid, i)``, from ``bases`` (one ``replica_bases`` row)
-    and ``column = particle_column(n)``."""
-    return _mix64_np((bases[:, None] ^ column).ravel())
+    ``derive_key(seed_r, sid, i)``, from ``bases`` (one ``replica_bases`` row),
+    the replicas' particle ``counts`` and ``column = particle_column(counts)``."""
+    return _mix64_np(np.repeat(bases, counts) ^ column)
 
 
 def _raw_np(keys: np.ndarray, ctrs: np.ndarray) -> np.ndarray:
@@ -183,22 +207,22 @@ def _normal_np(keys: np.ndarray, ctrs: np.ndarray) -> np.ndarray:
 # one-step kernels
 # ---------------------------------------------------------------------------
 
-def _resample(states, source, keys, n, max_iters, propose, kill_prob):
+def _resample(states, source, keys, layout, max_iters, propose, kill_prob):
     """Advance every particle one step in place; returns
     ``(deaths, replica_deaths, err)``.
 
-    ``states`` holds R replicas of ``n`` particles each, replica-major, and
-    ``keys`` their streams.  ``propose(y, keys, ctrs)`` moves the rows ``y``
-    with the streams ``(keys, ctrs)`` and advances ``ctrs`` past the draws it
-    used; the next draw kills the proposal with probability ``kill_prob(x)``.
-    A killed particle restarts from a uniform draw among the ``n`` rows of
-    its replica in ``source()``, the pre-step states sorted replica by
-    replica (called once, on the first death), until it survives.
-    ``deaths`` is the total kill count and ``replica_deaths`` the count of
-    each replica (the total itself when R = 1).  ``err`` is the first
-    particle still dead when the budget of ``max_iters`` rounds ran out
-    (``states`` is then left as it was and ``replica_deaths`` is None),
-    else -1.
+    ``states`` holds the replicas of ``layout`` (a ``ReplicaLayout``),
+    replica-major, and ``keys`` their streams.  ``propose(y, keys, ctrs)``
+    moves the rows ``y`` with the streams ``(keys, ctrs)`` and advances
+    ``ctrs`` past the draws it used; the next draw kills the proposal with
+    probability ``kill_prob(x)``.  A killed particle restarts from a uniform
+    draw among the ``n_r`` rows of its replica in ``source()``, the pre-step
+    states sorted replica by replica (called once, on the first death),
+    until it survives.  ``deaths`` is the total kill count and
+    ``replica_deaths`` the count of each replica (the total itself when
+    R = 1).  ``err`` is the first particle still dead when the budget of
+    ``max_iters`` rounds ran out (``states`` is then left as it was and
+    ``replica_deaths`` is None), else -1.
     """
     ctrs = np.zeros(keys.size, dtype=np.uint64)
     out = propose(states, keys, ctrs)
@@ -214,8 +238,9 @@ def _resample(states, source, keys, n, max_iters, propose, kill_prob):
         ks = keys[dead]
         usel = _u01_np(ks, ctrs[dead])
         cs = ctrs[dead] + _ONE_U
-        # row ``dead - dead % n`` is the first of the particle's replica
-        j = np.minimum((usel * n).astype(np.int64), n - 1) + (dead - dead % n)
+        # row min(int(u * n_r), n_r - 1) of the particle's replica
+        size = layout.size[dead]
+        j = np.minimum((usel * size).astype(np.int64), size - 1) + layout.first[dead]
         x = propose(src[j], ks, cs)
         u = _u01_np(ks, cs)
         ctrs[dead] = cs + _ONE_U
@@ -226,16 +251,17 @@ def _resample(states, source, keys, n, max_iters, propose, kill_prob):
         rounds += 1
     states[:] = out
     deaths = sum(d.size for d in killed)
-    reps = states.shape[0] // n
+    reps = layout.counts.size
     if reps == 1:
         return deaths, deaths, -1
-    return deaths, np.bincount(np.concatenate(killed) // n, minlength=reps), -1
+    return deaths, np.bincount(layout.replica[np.concatenate(killed)],
+                               minlength=reps), -1
 
 
-# Every kernel takes (states, source, keys, n, max_iters), as ``_resample``
-# does, and the parameters of its kind by keyword.
+# Every kernel takes (states, source, keys, layout, max_iters), as
+# ``_resample`` does, and the parameters of its kind by keyword.
 
-def step_gauss(states, source, keys, n, max_iters, *, gamma, drift, kill,
+def step_gauss(states, source, keys, layout, max_iters, *, gamma, drift, kill,
                wrap, noise):
     """``x' = wrap(x + gamma*b(x) + sqrt(gamma)*noise*xi)``, the space's wrap."""
     sqrtg = math.sqrt(gamma) * noise
@@ -247,11 +273,11 @@ def step_gauss(states, source, keys, n, max_iters, *, gamma, drift, kill,
             ctrs += _TWO_U
         return wrap(y + gamma * drift.drift(y) + sqrtg * z)
 
-    return _resample(states, source, keys, n, max_iters, propose,
+    return _resample(states, source, keys, layout, max_iters, propose,
                      lambda x: kill.prob(x, gamma))
 
 
-def step_redraw(states, source, keys, n, max_iters, *, gamma, kill):
+def step_redraw(states, source, keys, layout, max_iters, *, gamma, kill):
     """Redraw from Uniform(0, 1) with probability ``1 - exp(-gamma)``, else stay."""
     p_move = 1.0 - math.exp(-gamma)
 
@@ -263,11 +289,11 @@ def step_redraw(states, source, keys, n, max_iters, *, gamma, kill):
         ctrs[moved] += _ONE_U
         return x
 
-    return _resample(states, source, keys, n, max_iters, propose,
+    return _resample(states, source, keys, layout, max_iters, propose,
                      lambda x: kill.prob(x, gamma))
 
 
-def step_finite(states, source, keys, n, max_iters, *, cum_rows, p_kill,
+def step_finite(states, source, keys, layout, max_iters, *, cum_rows, p_kill,
                 unif_mean):
     """Uniformized jump chain: a Poisson(``unif_mean``) number of jumps along
     the cumulative rows ``cum_rows``, then death with probability
@@ -298,11 +324,11 @@ def step_finite(states, source, keys, n, max_iters, *, cum_rows, p_kill,
             njumps[need] -= 1
         return x
 
-    return _resample(states, source, keys, n, max_iters, propose,
+    return _resample(states, source, keys, layout, max_iters, propose,
                      lambda x: p_kill[x])
 
 
-def step_growth_frag(states, source, keys, n, max_iters, *, gamma, growth,
+def step_growth_frag(states, source, keys, layout, max_iters, *, gamma, growth,
                      frac, jump_rate, kill):
     """``x' = x*exp(gamma*growth)``, times ``frac`` with probability
     ``1 - exp(-gamma*jump_rate)``: a flow, then a jump at the end of the step."""
@@ -316,5 +342,5 @@ def step_growth_frag(states, source, keys, n, max_iters, *, gamma, growth,
         x[jumped] *= frac
         return x
 
-    return _resample(states, source, keys, n, max_iters, propose,
+    return _resample(states, source, keys, layout, max_iters, propose,
                      lambda x: kill.prob(x, gamma))

@@ -11,10 +11,10 @@ sweep      grid over (gamma, N, horizon, seed), CSV rows + fitted-rate summary
 demo       built-in named experiments (noncommutation, a3_failure)
 
 Each mode is one runner in ``_RUNNERS``.  Every data file goes through
-``fv.write_json`` or ``fv.write_csv``.  ``sweep`` runs each
-``(gamma, n_particles)`` group of its points as one batch of replicas, the
-groups on a pool of ``--jobs`` threads, and writes the rows in point order,
-so its files are the same for every ``--jobs``.
+``fv.write_json`` or ``fv.write_csv``.  ``sweep`` runs the points of each
+gamma, of every ``n_particles``, as one batch of replicas, the gammas on a
+pool of ``--jobs`` threads, and writes the rows in point order, so its
+files are the same for every ``--jobs``.
 
 Exit codes: 0 success, 2 bad config (includes unknown presets and invalid
 parameters), 3 runtime failure, 4 unwritable output.
@@ -52,7 +52,7 @@ from .metrics import (
     estimate_theta,
     fit_exponential_rate,
     fit_power_law,
-    w1_auto,
+    w1_rows,
 )
 from .models import PRESETS, GrowthFrag, PeriodicShift, TwoPoint
 from .oracle import (
@@ -265,44 +265,56 @@ def _oracle_measure(cfg: ExperimentConfig):
 
 def _point_rows(model, report, horizons, oracle_m, burn_frac, wanted):
     """The metric rows ``(horizon, metric, value, stderr, count)`` of one
-    sweep point's run."""
-    gamma = model.gamma
-    rows = []
+    sweep point's run.
 
-    def w1(x):
-        return w1_auto(EmpiricalMeasure(x, space=model.space), oracle_m)
-
+    The W1 of every snapshot that a requested metric reads comes from one
+    ``w1_rows`` call; the pooled distance of a window is one more call."""
+    snaps = [arr[:, 0] for _, arr in report.snapshots]
+    windows = []  # (horizon, burn, upto, snapshot indices of its window)
     for t in horizons:
-        upto = int(round(t / gamma))
+        upto = int(round(t / model.gamma))
         burn = int(burn_frac * upto)
-        window = [(s, arr) for s, arr in report.snapshots if burn < s <= upto]
-        if not window:
-            continue
-        if "w1_instant" in wanted:
-            arr = window[-1][1]
-            rows.append((t, "w1_instant", w1(arr[:, 0]), 0.0, arr.shape[0]))
+        idx = [i for i, (s, _) in enumerate(report.snapshots) if burn < s <= upto]
+        if idx:  # a window without snapshots has no rows
+            windows.append((t, burn, upto, idx))
+    needed = set()
+    for *_, idx in windows:
         if "w1_timeavg" in wanted:
-            ws = np.asarray([w1(arr[:, 0]) for _, arr in window])
+            needed.update(idx)
+        elif "w1_instant" in wanted:
+            needed.add(idx[-1])
+    w1 = {}  # snapshot index -> its W1
+    if needed:
+        needed = sorted(needed)
+        w1 = dict(zip(needed, w1_rows(np.stack([snaps[i] for i in needed]), oracle_m)))
+
+    rows = []
+    for t, burn, upto, idx in windows:
+        if "w1_instant" in wanted:
+            rows.append((t, "w1_instant", w1[idx[-1]], 0.0, snaps[idx[-1]].size))
+        if "w1_timeavg" in wanted:
+            ws = np.asarray([w1[i] for i in idx])
             se = float(ws.std(ddof=1) / math.sqrt(len(ws))) if len(ws) > 1 else 0.0
             rows.append((t, "w1_timeavg", float(ws.mean()), se, len(ws)))
         if "w1_pooled" in wanted:
-            pooled = np.concatenate([arr[:, 0] for _, arr in window])
-            rows.append((t, "w1_pooled", w1(pooled), 0.0, pooled.size))
+            pooled = np.concatenate([snaps[i] for i in idx])
+            rows.append((t, "w1_pooled", w1_rows(pooled[None], oracle_m)[0], 0.0,
+                         pooled.size))
         if "theta_hat" in wanted:
             est = estimate_theta(replace(report, deaths=report.deaths[:upto]), burn)
             rows.append((t, "theta_hat", est.value, est.stderr, est.n_steps))
     return rows
 
 
-def _sweep_group(cfg, gamma, n_particles, seeds, horizons, oracle_m, burn_frac):
-    """Run the points of one ``(gamma, n_particles)`` group as one batch;
-    returns each point's rows, in the order of ``seeds``."""
+def _sweep_group(cfg, gamma, points, horizons, oracle_m, burn_frac):
+    """Run the points ``(n_particles, seed)`` of one gamma as one batch;
+    returns each point's rows, in the order of ``points``."""
     model = cfg.preset().model(gamma)
     n_steps = int(round(max(horizons) / gamma))
     stride = int(cfg.sweep.get("snapshot_stride", max(1, n_steps // 200)))
-    reports = run_fv_batch(model, [FVConfig(n_particles=n_particles, n_steps=n_steps,
+    reports = run_fv_batch(model, [FVConfig(n_particles=n, n_steps=n_steps,
                                             seed=seed, snapshot_stride=stride)
-                                   for seed in seeds])
+                                   for n, seed in points])
     wanted = cfg.metrics or METRICS
     return [_point_rows(model, rep, horizons, oracle_m, burn_frac, wanted)
             for rep in reports]
@@ -323,25 +335,24 @@ def _run_sweep(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
     mhash = _model_hash({"name": cfg.model_name, "params": cfg.model_params})
 
     points = []
-    groups = {}  # (gamma, n) -> its points' seeds, in point order
+    groups = {}  # gamma -> its points' (n, seed), in point order
     for gamma in gammas:
         for n in ns:
             for _ in range(n_seeds):
                 seed = _k.derive_key(cfg.seed, len(points), 0) % (2 ** 62)
                 points.append((gamma, n, seed))
-                groups.setdefault((gamma, n), []).append(seed)
+                groups.setdefault(gamma, []).append((n, seed))
 
     def work(group):
-        (gamma, n), seeds = group
-        return _sweep_group(cfg, gamma, n, seeds, horizons, oracle_m, burn_frac)
+        gamma, group_points = group
+        return _sweep_group(cfg, gamma, group_points, horizons, oracle_m, burn_frac)
 
-    # every (gamma, N) group runs as one batch on the pool, in any order;
-    # rows are written in point order, so the output is the same for every
-    # --jobs
+    # every gamma group runs as one batch on the pool, in any order; rows
+    # are written in point order, so the output is the same for every --jobs
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        group_rows = {key: iter(rows) for key, rows
+        group_rows = {gamma: iter(rows) for gamma, rows
                       in zip(groups, pool.map(work, groups.items()))}
-    results = [next(group_rows[(gamma, n)]) for gamma, n, _ in points]
+    results = [next(group_rows[gamma]) for gamma, _, _ in points]
     rows = []
     table = {}
     for (gamma, n, seed), point_rows in zip(points, results):
@@ -401,22 +412,24 @@ def _demo_noncommutation(out: pathlib.Path, seed: int) -> None:
     gamma = 0.1
     model = tp.model(gamma)
     replicates = 48
-    rows = []
-    for n in (2, 16, 256):
-        for steps in (20, 200, 2000):
-            # the replicates of one (n, steps) cell run as one batch
-            reports = run_fv_batch(
-                model, [FVConfig(n_particles=n, n_steps=steps,
-                                 seed=_k.derive_key(seed, n * 100003 + steps, r)
-                                 % (2 ** 62), snapshot_stride=steps)
-                        for r in range(replicates)],
-                init=("dirac", TwoPoint.TRANSIENT))
-            mass = 0.0
-            for rep in reports:
-                mass += float(np.mean(rep.final_states == TwoPoint.TRANSIENT))
-            rows.append({"n_particles": n, "steps": steps,
-                         "time": steps * gamma,
-                         "mean_transient_mass": mass / replicates})
+    sizes, step_counts = (2, 16, 256), (20, 200, 2000)
+    mass = {}  # (n, steps) -> summed transient mass of its replicates
+    for steps in step_counts:
+        # the replicates of every n at one step count run as one batch
+        reports = iter(run_fv_batch(
+            model, [FVConfig(n_particles=n, n_steps=steps,
+                             seed=_k.derive_key(seed, n * 100003 + steps, r)
+                             % (2 ** 62), snapshot_stride=steps)
+                    for n in sizes for r in range(replicates)],
+            init=("dirac", TwoPoint.TRANSIENT)))
+        for n in sizes:
+            total = 0.0
+            for _, rep in zip(range(replicates), reports):
+                total += float(np.mean(rep.final_states == TwoPoint.TRANSIENT))
+            mass[n, steps] = total
+    rows = [{"n_particles": n, "steps": steps, "time": steps * gamma,
+             "mean_transient_mass": mass[n, steps] / replicates}
+            for n in sizes for steps in step_counts]
     header = ["n_particles", "steps", "time", "mean_transient_mass"]
     write_csv(out / "noncommutation.csv", header,
               [[r[key] for r in rows] for key in header])

@@ -7,8 +7,9 @@ The product form over particles makes updates independent within a step;
 per-particle counter-based streams keyed by (run seed, step, particle) make
 the result reproducible regardless of scheduling and exactly exchangeable
 under joint permutation of labels and streams.  ``run_fv_batch`` advances
-runs that differ only in seed as one particle array, each run resurrecting
-from its own particles, so each equals its single run bit for bit.
+runs that differ only in seed and particle count as one particle array,
+each run resurrecting from its own particles, so each equals its single run
+bit for bit.
 
 Every data file of the package is written by ``write_json`` or
 ``write_csv``, so each format is spelled out once; ``write_report`` writes
@@ -17,6 +18,7 @@ a run's files with them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
 import time
@@ -133,23 +135,29 @@ def q_mu_step(model: KilledModel, x, source, rng: Stream,
     return prop, deaths
 
 
-def _sorted_source(states: np.ndarray, n: int | None = None) -> np.ndarray:
+def _sorted_source(states: np.ndarray, counts=None) -> np.ndarray:
     """Canonically ordered copy of the pre-step states: the rows of each
-    replica of ``n`` particles (all of ``states`` by default) in
-    lexicographic order, replica by replica.
+    replica (of ``counts[r]`` particles, one replica of all ``states`` by
+    default) in lexicographic order, replica by replica.
 
     Resurrection draws index this sorted copy, so the draw depends only on
     the multiset of its replica's states; that is what makes label
     permutation commute with a step exactly.
     """
-    n = states.shape[0] if n is None else n
-    reps = states.shape[0] // n
+    counts = [states.shape[0]] if counts is None else list(counts)
     if states.ndim == 1 or states.shape[1] == 1:
-        return np.sort(states.reshape(reps, n, *states.shape[1:]),
-                       axis=1).reshape(states.shape)
+        # each run of consecutive replicas of one size is sorted as a block
+        blocks, row = [], 0
+        for n, run in itertools.groupby(counts):
+            reps = len(list(run))
+            block = states[row:row + reps * n]
+            blocks.append(np.sort(block.reshape(reps, n, *states.shape[1:]),
+                                  axis=1).reshape(block.shape))
+            row += reps * n
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     # lexsort's last key is the primary one: replica, then x0, x1, ...
     order = np.lexsort((*(states[:, k] for k in range(states.shape[1] - 1, -1, -1)),
-                        np.arange(states.shape[0]) // n))
+                        np.repeat(np.arange(len(counts)), counts)))
     return states[order]
 
 
@@ -181,33 +189,37 @@ def fv_step_reference(model: KilledModel, states: np.ndarray, seed: int,
 # ---------------------------------------------------------------------------
 
 def _run_chunk(model: KilledModel, states: np.ndarray, seed, sid0: int,
-               n_steps: int, max_iters: int) -> np.ndarray:
+               n_steps: int, max_iters: int, counts=None) -> np.ndarray:
     """Advance ``n_steps`` steps in place; returns per-step death counts.
 
     ``seed`` is one seed, or the seeds of R replicas whose particles
-    ``states`` holds replica-major, ``len(states) // R`` each; the counts
-    are then an ``(n_steps, R)`` array.  The source of a step is sorted only
-    when some particle dies in it.
+    ``states`` holds replica-major, ``counts[r]`` for replica r
+    (``len(states) // R`` each by default); the counts are then an
+    ``(n_steps, R)`` array.  The source of a step is sorted only when some
+    particle dies in it.
     """
     seeds = np.atleast_1d(np.asarray(seed, dtype=np.uint64))
     reps = seeds.size
-    n = states.shape[0] // reps
+    if counts is None:
+        counts = np.full(reps, states.shape[0] // reps)
+    layout = _k.replica_layout(counts)
     deaths = np.zeros((n_steps, reps), dtype=np.int64)
     if n_steps:
         step = model.move.kernel(model)
         bases = _k.replica_bases(seeds, sid0, n_steps)
-        column = _k.particle_column(n)
+        column = _k.particle_column(layout.counts)
 
         def source():
-            return _sorted_source(states, n)
+            return _sorted_source(states, layout.counts)
 
         for s in range(n_steps):
-            _, per_replica, err = step(states, source,
-                                       _k.batch_keys(bases[s], column), n, max_iters)
+            keys = _k.batch_keys(bases[s], column, layout.counts)
+            _, per_replica, err = step(states, source, keys, layout, max_iters)
             if err >= 0:
                 raise ResurrectionOverflowError(
-                    max_iters, step=sid0 - 1 + s, particle=err % n,
-                    replica=err // n if reps > 1 else -1)
+                    max_iters, step=sid0 - 1 + s,
+                    particle=int(err - layout.first[err]),
+                    replica=int(layout.replica[err]) if reps > 1 else -1)
             deaths[s] = per_replica
     return deaths if np.ndim(seed) else deaths[:, 0]
 
@@ -216,40 +228,45 @@ def run_fv_batch(model: KilledModel, configs, init="uniform") -> list:
     """Run R replicas of the particle system as one batch; returns their
     ``FVReport``s in the order of ``configs``.
 
-    The configs may differ only in ``seed`` (ValueError otherwise).  All
-    replicas advance together in one flat array of R·N particles, and
-    replica r's report equals ``run_fv(model, configs[r], init)`` bit for
-    bit, except ``elapsed``, which is the batch's wall time.  An overflow
-    raises the step and particle that the single run of the first
-    overflowing replica reports, and names that replica.
+    The configs may differ only in ``seed`` and ``n_particles`` (ValueError
+    otherwise).  All replicas advance together in one flat array of
+    ``sum(N_r)`` particles, and replica r's report equals
+    ``run_fv(model, configs[r], init)`` bit for bit, except ``elapsed``,
+    which is the batch's wall time.  An overflow raises the step and
+    particle that the single run of the first overflowing replica reports,
+    and names that replica.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("a batch needs at least one config")
-    shared = dict(asdict(configs[0]), seed=0)
-    if any(dict(asdict(c), seed=0) != shared for c in configs):
-        raise ValueError("the configs of a batch may differ only in seed")
+    shared = dict(asdict(configs[0]), seed=0, n_particles=0)
+    if any(dict(asdict(c), seed=0, n_particles=0) != shared for c in configs):
+        raise ValueError("the configs of a batch may differ only in seed and "
+                         "n_particles")
     t0 = time.perf_counter()
     cfg = configs[0]
-    n = cfg.n_particles
     seeds = [c.seed for c in configs]
-    states = np.concatenate([init_states(model, n, s, init) for s in seeds])
+    counts = [c.n_particles for c in configs]
+    states = np.concatenate([init_states(model, c.n_particles, c.seed, init)
+                             for c in configs])
     deaths = np.zeros((cfg.n_steps, len(seeds)), dtype=np.int64)
     snapshots = [(0, states.copy())]
     done = 0
     while done < cfg.n_steps:
         chunk = min(cfg.snapshot_stride, cfg.n_steps - done)
         deaths[done:done + chunk] = _run_chunk(
-            model, states, seeds, done + 1, chunk, cfg.max_resurrection_iters)
+            model, states, seeds, done + 1, chunk, cfg.max_resurrection_iters,
+            counts)
         done += chunk
         snapshots.append((done, states.copy()))
     elapsed = time.perf_counter() - t0
+    rows = np.cumsum([0, *counts])
     # each replica's snapshots are views of the batch's
     return [FVReport(model=model.describe(),
                      config=dict(asdict(c), gamma=model.gamma),
                      deaths=deaths[:, r].copy(),
-                     snapshots=[(s, arr[r * n:(r + 1) * n]) for s, arr in snapshots],
-                     final_states=states[r * n:(r + 1) * n].copy(),
+                     snapshots=[(s, arr[rows[r]:rows[r + 1]]) for s, arr in snapshots],
+                     final_states=states[rows[r]:rows[r + 1]].copy(),
                      elapsed=elapsed)
             for r, c in enumerate(configs)]
 

@@ -18,6 +18,7 @@ __all__ = [
     "w1_circle",
     "w1_line",
     "w1_auto",
+    "w1_rows",
     "sliced_w1_torus",
     "estimate_theta",
     "ThetaEstimate",
@@ -86,41 +87,113 @@ def _flat_1d(m: EmpiricalMeasure) -> np.ndarray:
     return s
 
 
-def _merged_cdf_difference(a: EmpiricalMeasure, b: EmpiricalMeasure):
-    pos = np.concatenate([_flat_1d(a), _flat_1d(b)])
-    delta = np.concatenate([a.weights, -b.weights])
-    order = np.argsort(pos, kind="mergesort")
-    return pos[order], np.cumsum(delta[order])
+# w1_rows merges a block of rows at a time, each merged array holding at
+# most this many entries (128 KB of floats), so its temporaries stay small
+_BLOCK = 1 << 14
 
 
-def w1_circle(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """Exact Wasserstein-1 distance for the circle metric on [0, 1).
+def _row_order(a: np.ndarray) -> np.ndarray:
+    """Indices into ``a.ravel()`` that sort each row of the 2-D float ``a``
+    stably, as ``argsort(kind="stable")`` does.
+
+    The unstable argsort is several times faster and agrees wherever a row
+    holds no two equal values; the rows that do are sorted stably.
+    """
+    offsets = np.arange(0, a.size, a.shape[1])[:, None]
+    order = np.argsort(a, axis=1) + offsets
+    vals = a.ravel()[order]
+    tied = np.any(vals[:, 1:] == vals[:, :-1], axis=1)
+    if tied.any():
+        order[tied] = np.argsort(a[tied], axis=1, kind="stable") + offsets[tied]
+    return order
+
+
+def _merged_cdf_difference(rows: np.ndarray, weights: np.ndarray,
+                           ref: EmpiricalMeasure):
+    """Per row of the ``(S, n)`` positions ``rows`` with atom ``weights``:
+    the merged positions of the row and of ``ref``, sorted, and the
+    cumulative difference of the two distributions along them.  The sort is
+    stable, so at equal positions the row's atoms come first."""
+    s, m = rows.shape[0], ref.weights.size
+    pos = np.concatenate([rows, np.broadcast_to(_flat_1d(ref), (s, m))], axis=1)
+    delta = np.concatenate([np.broadcast_to(weights, rows.shape),
+                            np.broadcast_to(-ref.weights, (s, m))], axis=1)
+    order = _row_order(pos)
+    return pos.ravel()[order], np.cumsum(delta.ravel()[order], axis=1)
+
+
+def _w1_circle_rows(pos: np.ndarray, g: np.ndarray) -> list:
+    """Circle W1 of each row of ``_merged_cdf_difference``.
 
     Minimizes the integral of the shifted cumulative difference over all
     rotations; the optimizer is a weighted median of the piecewise-constant
     difference, so the result is exact up to float rounding.
     """
+    lengths = np.empty_like(pos)
+    lengths[:, :-1] = np.diff(pos, axis=1)
+    lengths[:, -1] = (pos[:, 0] + 1.0) - pos[:, -1]
+    # the weighted median: the first index, in stable order of g, where
+    # the cumulative length reaches half the total (searchsorted "left" on
+    # the nondecreasing cumsum), and the index after it
+    order = _row_order(g)
+    cum = np.cumsum(lengths.ravel()[order], axis=1)
+    k = np.count_nonzero(cum < 0.5 * cum[:, -1:], axis=1)
+    rows = np.arange(g.shape[0])
+    last = g.shape[1] - 1
+    cands = [g.ravel()[order[rows, np.minimum(j, last)]] for j in (k, k + 1)]
+    # fsum makes the value independent of summation order, so the terms
+    # need no sorting and the distance is exactly symmetric in its
+    # arguments; one list per row keeps a single row's Python floats alive
+    t0, t1 = (lengths * np.abs(g - c[:, None]) for c in cands)
+    out = []
+    for r, c0, c1 in zip(rows.tolist(), *(c.tolist() for c in cands)):
+        lo = math.fsum(t0[r].tolist())
+        out.append(lo if c1 == c0 else min(lo, math.fsum(t1[r].tolist())))
+    return out
+
+
+def _w1_line_rows(pos: np.ndarray, g: np.ndarray) -> list:
+    """Line W1 (integral of |F_a - F_b|) of each row of
+    ``_merged_cdf_difference``."""
+    return np.sum(np.abs(g[:, :-1]) * np.diff(pos, axis=1), axis=1).tolist()
+
+
+def w1_rows(rows, ref: EmpiricalMeasure) -> list:
+    """W1 on ``ref``'s space from the uniform empirical measure of each row
+    of the ``(S, n)`` array ``rows`` to ``ref``; value s equals
+    ``w1_auto(EmpiricalMeasure(rows[s], space=ref.space), ref)`` bit for bit.
+
+    The rows are merged with ``ref``, sorted, accumulated and searched along
+    axis 1, a block of rows at a time.  Rows outside ``ref.space`` raise
+    ValueError.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.size == 0:
+        raise ValueError("rows must be a nonempty (S, n) array")
+    if ref.space.circle is None:
+        raise ValueError(f"w1_rows needs a real space, got {ref.space}")
+    if not ref.space.allows(rows):
+        raise ValueError(f"atoms must be states of {ref.space}")
+    n = rows.shape[1]
+    weights = np.full(n, 1.0 / n)
+    w1 = _w1_circle_rows if ref.space.circle else _w1_line_rows
+    step = max(1, _BLOCK // (n + ref.weights.size))
+    return [d for lo in range(0, rows.shape[0], step)
+            for d in w1(*_merged_cdf_difference(rows[lo:lo + step], weights, ref))]
+
+
+def w1_circle(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
+    """Exact Wasserstein-1 distance for the circle metric on [0, 1): the
+    one-row case of ``w1_rows``, with ``a``'s weights."""
     if not (a.space.circle and b.space.circle):
         raise ValueError("w1_circle requires torus geometry on both sides")
-    pos, g = _merged_cdf_difference(a, b)
-    lengths = np.empty_like(pos)
-    lengths[:-1] = np.diff(pos)
-    lengths[-1] = (pos[0] + 1.0) - pos[-1]
-    order = np.argsort(g, kind="mergesort")
-    gs, ls = g[order], lengths[order]
-    cum = np.cumsum(ls)
-    total = cum[-1]
-    k = int(np.searchsorted(cum, 0.5 * total, side="left"))
-    candidates = {float(gs[min(k, len(gs) - 1)]), float(gs[min(k + 1, len(gs) - 1)])}
-    # fsum makes the value independent of summation order, so the distance
-    # is exactly symmetric in its arguments
-    return min(math.fsum((ls * np.abs(gs - s)).tolist()) for s in candidates)
+    return _w1_circle_rows(*_merged_cdf_difference(_flat_1d(a)[None], a.weights, b))[0]
 
 
 def w1_line(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """Plain one-dimensional Wasserstein-1 (integral of |F_a - F_b|)."""
-    pos, g = _merged_cdf_difference(a, b)
-    return float(np.sum(np.abs(g[:-1]) * np.diff(pos)))
+    """Plain one-dimensional Wasserstein-1 (integral of |F_a - F_b|): the
+    one-row case of ``w1_rows``, with ``a``'s weights."""
+    return _w1_line_rows(*_merged_cdf_difference(_flat_1d(a)[None], a.weights, b))[0]
 
 
 def w1_auto(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import qsdlab.cli
 from qsdlab.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_OK, main
 from qsdlab.config import ConfigError, parse_config
 from qsdlab.metrics import fit_exponential_rate
@@ -460,6 +461,49 @@ def test_sweep_w1_vs_horizon_pairs_values_with_their_horizons(tmp_path):
     summary = json.loads((tmp_path / "sw" / "summary.json").read_text())
     assert summary["w1_vs_horizon"]["rate"] == pytest.approx(fit.rate, rel=1e-12)
     assert summary["w1_vs_horizon"]["r2"] == pytest.approx(fit.r2, rel=1e-12)
+
+
+def _sweep_rows(tmp_path, name, metrics):
+    """The rows of sweep.csv, without the seed-independent columns, of a
+    small torus sweep that computes only ``metrics``."""
+    cfg = _write(tmp_path, f"{name}.json", {
+        "mode": "sweep",
+        "model": {"name": "torus_diffusion",
+                  "params": {"dim": 1, "drift": ["sine", 0.75],
+                             "kill": ["cosine", 1.0, 1.0]}},
+        "seed": 6,
+        "output_dir": str(tmp_path / name),
+        "sweep": {"gammas": [0.02, 0.05], "n_particles": [8, 16],
+                  "horizons": [0.5, 1.0], "n_seeds": 2, "n_grid": 64},
+        "metrics": metrics,
+    })
+    assert main(["sweep", "--config", cfg]) == EXIT_OK
+    return (tmp_path / name / "sweep.csv").read_text().splitlines()[2:]
+
+
+def test_theta_only_sweep_computes_no_distance(tmp_path, monkeypatch):
+    def refuse(rows, ref):
+        raise AssertionError("a theta_hat sweep computed a W1 distance")
+
+    monkeypatch.setattr(qsdlab.cli, "w1_rows", refuse)
+    rows = _sweep_rows(tmp_path, "theta", ["theta_hat"])
+    assert rows and all(r.startswith("theta_hat,") for r in rows)
+
+
+def test_instant_only_sweep_reads_each_windows_last_snapshot(tmp_path, monkeypatch):
+    full = _sweep_rows(tmp_path, "full", ["w1_timeavg", "w1_instant", "w1_pooled",
+                                          "theta_hat"])
+    shapes, w1_rows = [], qsdlab.cli.w1_rows
+
+    def counted(rows, ref):
+        shapes.append(np.shape(rows))
+        return w1_rows(rows, ref)
+
+    monkeypatch.setattr(qsdlab.cli, "w1_rows", counted)
+    instant = _sweep_rows(tmp_path, "instant", ["w1_instant"])
+    assert instant == [r for r in full if r.startswith("w1_instant,")]
+    # one call per point, one row per horizon
+    assert shapes == [(2, n) for n in (8, 8, 16, 16) * 2]
 
 
 def test_harris_mode_emits_certificate(tmp_path):

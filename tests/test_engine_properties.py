@@ -6,8 +6,8 @@ Models are drawn from every proposal kind: Gaussian moves on the 1-D and
 growth/fragmentation flow.  One engine step must equal the particle-by-
 particle reference ``fv_step_reference`` bit for bit, for every kind, and
 the reference must commute with a joint permutation of particle labels and
-stream ids.  A batch of replicas must equal the single runs it batches, bit
-for bit, overflows included.
+stream ids.  A batch of replicas, of mixed particle counts, must equal the
+single runs it batches, bit for bit, overflows included.
 """
 
 import numpy as np
@@ -108,16 +108,17 @@ def test_reference_commutes_with_joint_permutation(case, data):
 @st.composite
 def batches(draw):
     """``(model, configs, init)``: up to 4 replicas, seeds possibly repeated,
-    of at most 12 particles and 30 steps, from the uniform law or a Dirac
-    state drawn from it."""
+    each of its own count of at most 12 particles, over at most 30 steps,
+    from the uniform law or a Dirac state drawn from it."""
     model = draw(presets()).model(draw(_unit(0.005, 0.5)))
-    n, n_steps = draw(st.integers(1, 12)), draw(st.integers(0, 30))
-    stride = draw(st.integers(1, 10))
+    n_steps, stride = draw(st.integers(0, 30)), draw(st.integers(1, 10))
     seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4))
     if draw(st.booleans()):
         seeds.append(draw(st.sampled_from(seeds)))  # a repeated seed
+    counts = draw(st.lists(st.integers(1, 12), min_size=len(seeds),
+                           max_size=len(seeds)))
     configs = [FVConfig(n_particles=n, n_steps=n_steps, seed=s,
-                        snapshot_stride=stride) for s in seeds]
+                        snapshot_stride=stride) for s, n in zip(seeds, counts)]
     init = "uniform"
     if draw(st.booleans()):
         x = init_states(model, 1, draw(st.integers(0, 2 ** 32)))[0]
@@ -141,6 +142,9 @@ def _same_report(a, b):
 @example((q.TorusDiffusion(dim=2, kill=0.8).model(0.05),
           [FVConfig(n_particles=9, n_steps=12, seed=s, snapshot_stride=5)
            for s in (3, 3, 2 ** 64 - 1)], "uniform"))
+@example((q.TorusDiffusion(dim=1, kill=3.0).model(0.05),
+          [FVConfig(n_particles=n, n_steps=12, seed=s, snapshot_stride=5)
+           for s, n in ((3, 2), (3, 7), (4, 7), (5, 1), (6, 2))], "uniform"))
 def test_batch_equals_its_single_runs(case):
     model, configs, init = case
     batch = run_fv_batch(model, configs, init)
@@ -158,15 +162,19 @@ def _overflow_or_none(model, cfg):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=6),
+@given(st.lists(st.tuples(st.integers(0, 2 ** 32), st.integers(1, 6)),
+                min_size=1, max_size=6),
        st.integers(1, 5))
-def test_batch_overflow_names_the_single_runs_step_and_particle(seeds, budget):
+def test_batch_overflow_names_the_single_runs_step_and_particle(replicas, budget):
     # about half the proposals land outside (0.3, 0.7), so a budget of a few
-    # rounds runs out at a different step in each replica, or never
+    # rounds runs out at a different step in each replica, or never; the
+    # replicas' counts differ, so the particle named is an index within its
+    # replica
     model = q.KilledModel(name="narrow", space=q.Interval(), gamma=0.1,
                           move=q.GaussMove(), kill=q.IntervalKill(0.3, 0.7))
-    configs = [FVConfig(n_particles=4, n_steps=6, seed=s, snapshot_stride=2,
-                        max_resurrection_iters=budget) for s in seeds]
+    seeds = [s for s, _ in replicas]
+    configs = [FVConfig(n_particles=n, n_steps=6, seed=s, snapshot_stride=2,
+                        max_resurrection_iters=budget) for s, n in replicas]
     singles = [_overflow_or_none(model, c) for c in configs]
     failed = [(s[0], r, s[1]) for r, s in enumerate(singles) if s is not None]
     if not failed:
@@ -180,12 +188,14 @@ def test_batch_overflow_names_the_single_runs_step_and_particle(seeds, budget):
     assert err.value.replica == (replica if len(seeds) > 1 else -1)
 
 
-def test_batch_configs_may_differ_only_in_seed():
+def test_batch_configs_may_differ_only_in_seed_and_count():
     model = q.TwoPoint(1.0, 2.0).model(0.1)
     base = FVConfig(n_particles=4, n_steps=3, seed=1)
-    for other in (dict(n_particles=5), dict(n_steps=4), dict(snapshot_stride=2),
+    mixed = FVConfig(**{**vars(base), "seed": 2, "n_particles": 5})
+    assert [len(r.final_states) for r in run_fv_batch(model, [base, mixed])] == [4, 5]
+    for other in (dict(n_steps=4), dict(snapshot_stride=2),
                   dict(max_resurrection_iters=9)):
-        with pytest.raises(ValueError, match="only in seed"):
-            run_fv_batch(model, [base, FVConfig(**{**vars(base), "seed": 2, **other})])
+        with pytest.raises(ValueError, match="only in seed and n_particles"):
+            run_fv_batch(model, [base, FVConfig(**{**vars(mixed), **other})])
     with pytest.raises(ValueError, match="at least one"):
         run_fv_batch(model, [])

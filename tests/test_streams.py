@@ -71,10 +71,12 @@ def test_batched_keys_match_scalar():
     # replica-major: every particle of replica 0, then of replica 1, ...
     seeds = np.array([0, 99, 2 ** 64 - 1], dtype=np.uint64)
     bases = k.replica_bases(seeds, 5, 3)
-    for s in range(3):
-        keys = k.batch_keys(bases[s], k.particle_column(7))
-        expect = [k.derive_key(int(seed), 5 + s, i) for seed in seeds for i in range(7)]
-        assert np.array_equal(keys, np.array(expect, dtype=np.uint64))
+    for counts in ([7, 7, 7], [7, 2, 5]):
+        for s in range(3):
+            keys = k.batch_keys(bases[s], k.particle_column(counts), counts)
+            expect = [k.derive_key(int(seed), 5 + s, i)
+                      for seed, n in zip(seeds, counts) for i in range(n)]
+            assert np.array_equal(keys, np.array(expect, dtype=np.uint64))
 
 
 def test_vectorized_draws_match_scalar():
