@@ -3,12 +3,15 @@
 One vectorized numpy loop (``_resample``) advances every particle by
 propose / kill / resurrect; the particles of R independent replicas, of
 possibly different sizes, share one flat array, replica-major, and each
-replica resurrects from its own source.  ``replica_layout`` derives once,
-from the replicas' particle counts, each particle's replica, first row and
-replica size.  The four step kernels supply the loop's proposal for
-each dynamics kind: Gaussian moves (``step_gauss``), uniform redraws
-(``step_redraw``), uniformized finite chains (``step_finite``) and
-growth with multiplicative down-jumps (``step_growth_frag``).  Each kernel
+replica resurrects from its own source.  ``replica_layout`` derives, once
+per batch and from the replicas' particle counts alone, all that a step
+reads of where the replicas sit: each particle's replica, the first row and
+size of that replica and its key column, and the runs of equal-size
+replicas by which the source is sorted.  The four step kernels supply the
+loop's proposal for each dynamics kind: Gaussian moves (``step_gauss``),
+uniform redraws (``step_redraw``), uniformized finite chains
+(``step_finite``) and growth with multiplicative down-jumps
+(``step_growth_frag``).  Each kernel
 is bound to a model by its move object in ``qsdlab.models`` (``GaussMove``,
 ``RedrawMove``, ``ChainMove``, ``GrowthFragMove``), whose ``propose`` is the
 scalar reference of the same draws.  Drift and kill enter as family objects
@@ -156,36 +159,40 @@ def replica_bases(seeds: np.ndarray, sid0: int, n_steps: int) -> np.ndarray:
 
 class ReplicaLayout(NamedTuple):
     """Where each replica of a batch sits in the flat particle array:
-    ``counts[r]`` particles of replica r, replica-major, and per particle
-    its ``replica``, the ``first`` row of that replica and its ``size``."""
+    ``counts[r]`` particles of replica r from row ``start[r]``, replica-major.
+    Per particle: its ``replica``, the ``first`` row and ``size`` of that
+    replica, and its ``column``, ``i * KEY2`` for its index i within the
+    replica, which ``batch_keys`` mixes into the step bases.  ``runs`` holds
+    ``(row, reps, n)`` for each run of consecutive replicas of n particles."""
 
     counts: np.ndarray
+    start: np.ndarray
     replica: np.ndarray
     first: np.ndarray
     size: np.ndarray
+    column: np.ndarray
+    runs: tuple
 
 
 def replica_layout(counts) -> ReplicaLayout:
     """The layout of replicas of ``counts`` particles each, in order."""
     counts = np.asarray(counts, dtype=np.int64)
     replica = np.repeat(np.arange(counts.size), counts)
-    starts = np.cumsum(counts) - counts
-    return ReplicaLayout(counts, replica, starts[replica], counts[replica])
+    start = np.cumsum(counts) - counts
+    first = start[replica]
+    column = (np.arange(replica.size) - first).astype(np.uint64) * _KEY2
+    heads = np.flatnonzero(np.diff(counts, prepend=-1))  # each run's first replica
+    runs = zip(start[heads].tolist(), np.diff(heads, append=counts.size).tolist(),
+               counts[heads].tolist())
+    return ReplicaLayout(counts, start, replica, first, counts[replica], column,
+                         tuple(runs))
 
 
-def particle_column(counts) -> np.ndarray:
-    """``i * KEY2`` for the particles ``i < counts[r]`` of each replica r,
-    replica after replica: the column that ``batch_keys`` mixes into the
-    step bases."""
-    lay = replica_layout(counts)
-    return (np.arange(lay.replica.size) - lay.first).astype(np.uint64) * _KEY2
-
-
-def batch_keys(bases: np.ndarray, column: np.ndarray, counts) -> np.ndarray:
+def batch_keys(bases: np.ndarray, layout: ReplicaLayout) -> np.ndarray:
     """Replica-major keys of one step: replica r's particle i has
-    ``derive_key(seed_r, sid, i)``, from ``bases`` (one ``replica_bases`` row),
-    the replicas' particle ``counts`` and ``column = particle_column(counts)``."""
-    return _mix64_np(np.repeat(bases, counts) ^ column)
+    ``derive_key(seed_r, sid, i)``, from ``bases`` (one ``replica_bases``
+    row) and the ``layout`` of the replicas."""
+    return _mix64_np(np.repeat(bases, layout.counts) ^ layout.column)
 
 
 def _raw_np(keys: np.ndarray, ctrs: np.ndarray) -> np.ndarray:

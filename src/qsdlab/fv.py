@@ -9,7 +9,9 @@ the result reproducible regardless of scheduling and exactly exchangeable
 under joint permutation of labels and streams.  ``run_fv_batch`` advances
 runs that differ only in seed and particle count as one particle array,
 each run resurrecting from its own particles, so each equals its single run
-bit for bit.
+bit for bit.  A batch builds its replica layout and binds its step kernel
+once, and ``_advance``, the one step loop of the engine, yields each step's
+deaths to ``run_fv_batch``, which takes the snapshots.
 
 Every data file of the package is written by ``write_json`` or
 ``write_csv``, so each format is spelled out once; ``write_report`` writes
@@ -18,8 +20,8 @@ a run's files with them.
 
 from __future__ import annotations
 
-import itertools
 import json
+import numbers
 import pathlib
 import time
 from dataclasses import asdict, dataclass
@@ -45,6 +47,7 @@ __all__ = [
 ]
 
 _INIT_STREAM = 0  # stream id reserved for drawing the initial ensemble
+_BASES_BLOCK = 1 << 14  # step bases derived at a time, over all replicas
 
 
 @dataclass
@@ -58,16 +61,16 @@ class FVConfig:
     max_resurrection_iters: int = 1_000_000
 
     def __post_init__(self):
-        if not (0 <= self.seed < 2 ** 64):
+        for name, lo in (("n_particles", 1), ("n_steps", 0), ("seed", 0),
+                         ("snapshot_stride", 1), ("max_resurrection_iters", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < lo):
+                raise ValueError(f"{name} must be an integer of at least {lo}, "
+                                 f"got {value!r}")
+            setattr(self, name, int(value))  # report.json takes plain ints
+        if self.seed >= 2 ** 64:  # the stream keys take the seed modulo 2**64
             raise ValueError("seed must be an integer in [0, 2**64)")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be at least 1")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be nonnegative")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be positive")
-        if self.max_resurrection_iters < 1:
-            raise ValueError("max_resurrection_iters must be at least 1")
 
 
 @dataclass
@@ -135,29 +138,23 @@ def q_mu_step(model: KilledModel, x, source, rng: Stream,
     return prop, deaths
 
 
-def _sorted_source(states: np.ndarray, counts=None) -> np.ndarray:
+def _sorted_source(states: np.ndarray, layout: _k.ReplicaLayout) -> np.ndarray:
     """Canonically ordered copy of the pre-step states: the rows of each
-    replica (of ``counts[r]`` particles, one replica of all ``states`` by
-    default) in lexicographic order, replica by replica.
+    replica of ``layout`` in lexicographic order, replica by replica.
 
     Resurrection draws index this sorted copy, so the draw depends only on
     the multiset of its replica's states; that is what makes label
     permutation commute with a step exactly.
     """
-    counts = [states.shape[0]] if counts is None else list(counts)
     if states.ndim == 1 or states.shape[1] == 1:
         # each run of consecutive replicas of one size is sorted as a block
-        blocks, row = [], 0
-        for n, run in itertools.groupby(counts):
-            reps = len(list(run))
-            block = states[row:row + reps * n]
-            blocks.append(np.sort(block.reshape(reps, n, *states.shape[1:]),
-                                  axis=1).reshape(block.shape))
-            row += reps * n
+        tail = states.shape[1:]
+        blocks = [np.sort(states[row:row + reps * n].reshape(reps, n, *tail), axis=1)
+                  .reshape(reps * n, *tail) for row, reps, n in layout.runs]
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     # lexsort's last key is the primary one: replica, then x0, x1, ...
     order = np.lexsort((*(states[:, k] for k in range(states.shape[1] - 1, -1, -1)),
-                        np.repeat(np.arange(len(counts)), counts)))
+                        layout.replica))
     return states[order]
 
 
@@ -173,7 +170,7 @@ def fv_step_reference(model: KilledModel, states: np.ndarray, seed: int,
     n = states.shape[0]
     if stream_ids is None:
         stream_ids = np.arange(n)
-    src = _sorted_source(states)
+    src = _sorted_source(states, _k.replica_layout([n]))
     out = np.empty_like(states)
     deaths = 0
     sid = step_index + 1
@@ -188,40 +185,33 @@ def fv_step_reference(model: KilledModel, states: np.ndarray, seed: int,
 # the engine
 # ---------------------------------------------------------------------------
 
-def _run_chunk(model: KilledModel, states: np.ndarray, seed, sid0: int,
-               n_steps: int, max_iters: int, counts=None) -> np.ndarray:
-    """Advance ``n_steps`` steps in place; returns per-step death counts.
+def _advance(model: KilledModel, states: np.ndarray, seeds,
+             layout: _k.ReplicaLayout, sid0: int, n_steps: int, max_iters: int):
+    """Advance the replicas of ``layout``, replica r with ``seeds[r]``, by
+    ``n_steps`` steps in place, the first with stream id ``sid0``; yields
+    each step's death counts per replica (the total itself when R = 1).
 
-    ``seed`` is one seed, or the seeds of R replicas whose particles
-    ``states`` holds replica-major, ``counts[r]`` for replica r
-    (``len(states) // R`` each by default); the counts are then an
-    ``(n_steps, R)`` array.  The source of a step is sorted only when some
+    The step kernel is bound once, the step bases are derived a block of
+    steps at a time, and the source of a step is sorted only when some
     particle dies in it.
     """
-    seeds = np.atleast_1d(np.asarray(seed, dtype=np.uint64))
-    reps = seeds.size
-    if counts is None:
-        counts = np.full(reps, states.shape[0] // reps)
-    layout = _k.replica_layout(counts)
-    deaths = np.zeros((n_steps, reps), dtype=np.int64)
-    if n_steps:
-        step = model.move.kernel(model)
-        bases = _k.replica_bases(seeds, sid0, n_steps)
-        column = _k.particle_column(layout.counts)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    step = model.move.kernel(model)
 
-        def source():
-            return _sorted_source(states, layout.counts)
+    def source():
+        return _sorted_source(states, layout)
 
-        for s in range(n_steps):
-            keys = _k.batch_keys(bases[s], column, layout.counts)
-            _, per_replica, err = step(states, source, keys, layout, max_iters)
+    block = max(1, _BASES_BLOCK // seeds.size)
+    for s0 in range(sid0, sid0 + n_steps, block):
+        bases = _k.replica_bases(seeds, s0, min(block, sid0 + n_steps - s0))
+        for sid, base in enumerate(bases, s0):
+            _, per_replica, err = step(states, source, _k.batch_keys(base, layout),
+                                       layout, max_iters)
             if err >= 0:
                 raise ResurrectionOverflowError(
-                    max_iters, step=sid0 - 1 + s,
-                    particle=int(err - layout.first[err]),
-                    replica=int(layout.replica[err]) if reps > 1 else -1)
-            deaths[s] = per_replica
-    return deaths if np.ndim(seed) else deaths[:, 0]
+                    max_iters, step=sid - 1, particle=int(err - layout.first[err]),
+                    replica=int(layout.replica[err]) if seeds.size > 1 else -1)
+            yield per_replica
 
 
 def run_fv_batch(model: KilledModel, configs, init="uniform") -> list:
@@ -230,11 +220,11 @@ def run_fv_batch(model: KilledModel, configs, init="uniform") -> list:
 
     The configs may differ only in ``seed`` and ``n_particles`` (ValueError
     otherwise).  All replicas advance together in one flat array of
-    ``sum(N_r)`` particles, and replica r's report equals
-    ``run_fv(model, configs[r], init)`` bit for bit, except ``elapsed``,
-    which is the batch's wall time.  An overflow raises the step and
-    particle that the single run of the first overflowing replica reports,
-    and names that replica.
+    ``sum(N_r)`` particles, in one step loop that takes each snapshot, and
+    replica r's report equals ``run_fv(model, configs[r], init)`` bit for
+    bit, except ``elapsed``, which is the batch's wall time.  An overflow
+    raises the step and particle that the single run of the first
+    overflowing replica reports, and names that replica.
     """
     configs = list(configs)
     if not configs:
@@ -245,30 +235,26 @@ def run_fv_batch(model: KilledModel, configs, init="uniform") -> list:
                          "n_particles")
     t0 = time.perf_counter()
     cfg = configs[0]
-    seeds = [c.seed for c in configs]
-    counts = [c.n_particles for c in configs]
+    layout = _k.replica_layout([c.n_particles for c in configs])
     states = np.concatenate([init_states(model, c.n_particles, c.seed, init)
                              for c in configs])
-    deaths = np.zeros((cfg.n_steps, len(seeds)), dtype=np.int64)
+    deaths = np.zeros((cfg.n_steps, len(configs)), dtype=np.int64)
     snapshots = [(0, states.copy())]
-    done = 0
-    while done < cfg.n_steps:
-        chunk = min(cfg.snapshot_stride, cfg.n_steps - done)
-        deaths[done:done + chunk] = _run_chunk(
-            model, states, seeds, done + 1, chunk, cfg.max_resurrection_iters,
-            counts)
-        done += chunk
-        snapshots.append((done, states.copy()))
+    steps = _advance(model, states, [c.seed for c in configs], layout, 1,
+                     cfg.n_steps, cfg.max_resurrection_iters)
+    for done, dead in enumerate(steps, 1):
+        deaths[done - 1] = dead
+        if done % cfg.snapshot_stride == 0 or done == cfg.n_steps:
+            snapshots.append((done, states.copy()))
     elapsed = time.perf_counter() - t0
-    rows = np.cumsum([0, *counts])
     # each replica's snapshots are views of the batch's
     return [FVReport(model=model.describe(),
                      config=dict(asdict(c), gamma=model.gamma),
                      deaths=deaths[:, r].copy(),
-                     snapshots=[(s, arr[rows[r]:rows[r + 1]]) for s, arr in snapshots],
-                     final_states=states[rows[r]:rows[r + 1]].copy(),
+                     snapshots=[(s, arr[a:a + n]) for s, arr in snapshots],
+                     final_states=states[a:a + n].copy(),
                      elapsed=elapsed)
-            for r, c in enumerate(configs)]
+            for r, (c, a, n) in enumerate(zip(configs, layout.start, layout.counts))]
 
 
 def run_fv(model: KilledModel, config: FVConfig, init="uniform") -> FVReport:

@@ -467,7 +467,7 @@ def _nearest_neighbour(up: np.ndarray, down, periodic: bool = False) -> sp.csr_m
 #
 # Each proposal kind is one object.  ``kernel(model)`` binds the engine's
 # ``_kernels.step_*`` to the model, called as ``kernel(states, source, keys,
-# n, max_iters)``; ``propose(model, x, rng)`` is its scalar reference, draw
+# layout, max_iters)``; ``propose(model, x, rng)`` is its scalar reference, draw
 # for draw.  ``tag``, ``drift`` and ``noise`` go to the model block of
 # ``report.json``; a move without drift or noise reports zero and one.
 

@@ -28,6 +28,7 @@ from qsdlab.metrics import (
     tv_finite,
     w1_circle,
     w1_line,
+    w1_rows,
 )
 from qsdlab.models import propose
 from qsdlab.oracle import (
@@ -128,19 +129,21 @@ def test_c05_fluctuation_rate_in_particle_count(interval_oracle_measure):
         burn_steps = 25_000
         total = 62_500
         stride = 2500
-        means = []
         ns = (64, 256, 1024, 4096)
-        for n in ns:
-            vals = []
-            for seed in range(8):
-                rep = run_fv(model, FVConfig(n_particles=n, n_steps=total,
-                                             seed=1000 + seed,
-                                             snapshot_stride=stride))
-                ws = [w1_line(EmpiricalMeasure(s[:, 0], space=q.Interval()),
-                              interval_oracle_measure)
-                      for st, s in rep.snapshots if st > burn_steps]
-                vals.append(np.mean(ws))
-            means.append(float(np.mean(vals)))
+        seeds = range(1000, 1008)
+        # the 32 runs as three batches of 10,752, 16,384 and 16,384 particles
+        batches = ([(n, seed) for n in ns[:3] for seed in seeds],
+                   [(4096, seed) for seed in seeds[:4]],
+                   [(4096, seed) for seed in seeds[4:]])
+        vals = {}
+        for batch in batches:
+            reps = run_fv_batch(model, [FVConfig(n_particles=n, n_steps=total,
+                                                 seed=seed, snapshot_stride=stride)
+                                        for n, seed in batch])
+            for run, rep in zip(batch, reps):
+                rows = [s[:, 0] for st, s in rep.snapshots if st > burn_steps]
+                vals[run] = np.mean(w1_rows(rows, interval_oracle_measure))
+        means = [float(np.mean([vals[n, seed] for seed in seeds])) for n in ns]
         fit = fit_power_law(ns, means)
         print(f"\n  C5 detail: means={np.round(means, 5).tolist()} "
               f"slope={fit.slope:.3f} r2={fit.r2:.4f}")

@@ -16,7 +16,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qsdlab as q
-from qsdlab.fv import FVConfig, _run_chunk, fv_step_reference, init_states, run_fv, \
+from qsdlab import fv
+from qsdlab._kernels import replica_layout
+from qsdlab.fv import FVConfig, _advance, fv_step_reference, init_states, run_fv, \
     run_fv_batch
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None)
@@ -80,10 +82,11 @@ def _case(model, n, seed, step_index=0):
 def test_engine_step_equals_reference(case):
     model, states, seed, step_index = case
     out = states.copy()
-    deaths = _run_chunk(model, out, seed, step_index + 1, 1, MAX_ITERS)
+    deaths = next(_advance(model, out, [seed], replica_layout([len(out)]),
+                           step_index + 1, 1, MAX_ITERS))
     ref, ref_deaths = fv_step_reference(model, states, seed, step_index,
                                         max_iters=MAX_ITERS)
-    assert deaths[0] == ref_deaths
+    assert deaths == ref_deaths
     assert np.array_equal(out, ref)
 
 
@@ -151,6 +154,17 @@ def test_batch_equals_its_single_runs(case):
     assert len(batch) == len(configs)
     for cfg, rep in zip(configs, batch):
         _same_report(rep, run_fv(model, cfg, init))
+
+
+def test_step_bases_in_blocks_do_not_change_a_batch(monkeypatch):
+    model = q.TorusDiffusion(dim=1, kill=3.0).model(0.05)
+    configs = [FVConfig(n_particles=n, n_steps=13, seed=s, snapshot_stride=5)
+               for s, n in ((3, 2), (4, 7))]
+    whole = run_fv_batch(model, configs)
+    # blocks of 2 steps for 2 replicas, the last block of 1
+    monkeypatch.setattr(fv, "_BASES_BLOCK", 5)
+    for a, b in zip(whole, run_fv_batch(model, configs)):
+        _same_report(a, b)
 
 
 def _overflow_or_none(model, cfg):

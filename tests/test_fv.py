@@ -7,13 +7,15 @@ import pytest
 import scipy.linalg
 
 import qsdlab as q
+from qsdlab._kernels import replica_layout
 from qsdlab.fv import (
     FVConfig,
-    _run_chunk,
+    _advance,
     fv_step_reference,
     init_states,
     q_mu_step,
     run_fv,
+    run_fv_batch,
     write_report,
 )
 from qsdlab.metrics import (
@@ -25,6 +27,13 @@ from qsdlab.metrics import (
 )
 from qsdlab.models import kill_prob, propose
 from qsdlab.streams import substream
+
+
+def _one_step(model, states, seed, step_index):
+    """Advance the one replica ``states`` by step ``step_index`` in place;
+    returns its deaths."""
+    return next(_advance(model, states, [seed], replica_layout([len(states)]),
+                         step_index + 1, 1, 1_000_000))
 
 
 class _StubStream:
@@ -108,7 +117,7 @@ def test_two_point_output_law_matches_enumeration():
 
     n = 1_000_000
     states = np.full(n, 1, dtype=np.int64)
-    _run_chunk(model, states, 2024, 1, 1, 1_000_000)
+    _one_step(model, states, 2024, 0)
     freq = np.bincount(states, minlength=2) / n
     assert tv_finite(freq, expect) < 1e-3
     # depth-12 truncation of the tree bounds the enumeration error itself
@@ -129,8 +138,8 @@ def test_two_point_pair_law_matches_enumeration():
     # one batch of 100,000 two-particle replicas, replica r with seed r
     runs = 100_000
     states = np.ones(2 * runs, dtype=np.int64)
-    _run_chunk(model, states, seed=np.arange(runs), sid0=1, n_steps=1,
-               max_iters=10 ** 6)
+    next(_advance(model, states, np.arange(runs), replica_layout([2] * runs),
+                  sid0=1, n_steps=1, max_iters=10 ** 6))
     pairs = states.reshape(runs, 2)
     freq = np.bincount(2 * pairs[:, 0] + pairs[:, 1], minlength=4) / runs
     se = np.sqrt(expect * (1 - expect) / runs)
@@ -144,7 +153,7 @@ def test_two_point_pair_law_matches_enumeration():
 def test_single_particle_resurrects_from_itself():
     model = q.IntervalBrownian().model(0.01)
     states = np.array([[0.5]])
-    _run_chunk(model, states, 5, 1, 1, 1_000_000)
+    _one_step(model, states, 5, 0)
     assert states.shape[0] == 1
     assert 0.0 < states[0, 0] < 1.0
     ref, deaths = fv_step_reference(model, np.array([[0.5]]), 5, 0)
@@ -155,7 +164,7 @@ def test_population_size_conserved():
     model = _torus(0.05, kill=3.0)
     states = init_states(model, 300, 7)
     for step_index in range(5):
-        _run_chunk(model, states, 7, step_index + 1, 1, 1_000_000)
+        _one_step(model, states, 7, step_index)
         assert states.shape[0] == 300
         assert np.all(np.isfinite(states))
 
@@ -174,10 +183,10 @@ def test_kernel_matches_reference_step():
     for model, tag in cases:
         states = init_states(model, 200, 11)
         out = states.copy()
-        out_deaths = _run_chunk(model, out, 11, 3 + 1, 1, 1_000_000)
+        out_deaths = _one_step(model, out, 11, 3)
         ref, deaths = fv_step_reference(model, states, 11, 3)
         assert np.array_equal(out, ref), tag
-        assert out_deaths[0] == deaths, tag
+        assert out_deaths == deaths, tag
         if tag == "growth_frag":
             assert deaths > 0  # the resurrection path is compared too
 
@@ -229,6 +238,12 @@ def test_snapshot_stride_does_not_change_trajectory():
                                snapshot_stride=90))
     assert np.array_equal(a.final_states, b.final_states)
     assert np.array_equal(a.deaths, b.deaths)
+    # a stride that does not divide the run still snapshots its last step
+    assert [s for s, _ in a.snapshots] == [*range(0, 90, 7), 90]
+    assert [s for s, _ in b.snapshots] == [0, 90]
+    c = run_fv(model, FVConfig(n_particles=64, n_steps=0, seed=5,
+                               snapshot_stride=7))
+    assert [s for s, _ in c.snapshots] == [0]
 
 
 def test_distinct_seeds_distinct_paths_same_law():
@@ -261,14 +276,12 @@ def test_unkilled_particle_marginal_matches_single_chain():
     # with no killing the system is independent copies of the proposal chain
     model = _torus(0.04, drift=("sine", 0.75))
     n_rep, n_steps = 10_000, 10
-    from qsdlab.fv import _run_chunk
 
-    marg = np.empty(n_rep)
-    for r in range(n_rep):
-        states = init_states(model, 8, r)
-        _run_chunk(model, states, seed=r, sid0=1, n_steps=n_steps,
-                   max_iters=100)
-        marg[r] = states[0, 0]
+    # run r of 8 particles has seed r, all of them in one batch
+    reps = run_fv_batch(model, [FVConfig(n_particles=8, n_steps=n_steps, seed=r,
+                                         max_resurrection_iters=100)
+                                for r in range(n_rep)])
+    marg = np.array([rep.final_states[0, 0] for rep in reps])
     single = np.empty(n_rep)
     for r in range(n_rep):
         x = init_states(model, 8, r)[0]
@@ -327,6 +340,17 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FVConfig(n_particles=1, n_steps=1, seed=2 ** 64)
     assert FVConfig(n_particles=1, n_steps=1, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+    # every count is an integer, and a boolean is not one
+    for field in ("n_particles", "n_steps", "seed", "snapshot_stride",
+                  "max_resurrection_iters"):
+        for bad in (1.5, 2.0, True, "3", None):
+            with pytest.raises(ValueError, match=field):
+                FVConfig(**{"n_particles": 1, "n_steps": 1, "seed": 0, field: bad})
+    # numpy integers stay valid and are kept as plain ints
+    cfg = FVConfig(n_particles=np.int32(4), n_steps=np.uint8(2),
+                   seed=np.uint64(2 ** 64 - 1))
+    assert (cfg.n_particles, cfg.n_steps, cfg.seed) == (4, 2, 2 ** 64 - 1)
+    assert all(type(v) is int for v in (cfg.n_particles, cfg.n_steps, cfg.seed))
 
 
 def test_dirac_and_array_inits():

@@ -73,7 +73,7 @@ def test_batched_keys_match_scalar():
     bases = k.replica_bases(seeds, 5, 3)
     for counts in ([7, 7, 7], [7, 2, 5]):
         for s in range(3):
-            keys = k.batch_keys(bases[s], k.particle_column(counts), counts)
+            keys = k.batch_keys(bases[s], k.replica_layout(counts))
             expect = [k.derive_key(int(seed), 5 + s, i)
                       for seed, n in zip(seeds, counts) for i in range(n)]
             assert np.array_equal(keys, np.array(expect, dtype=np.uint64))
