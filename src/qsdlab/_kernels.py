@@ -5,17 +5,17 @@ propose / kill / resurrect; the particles of R independent replicas, of
 possibly different sizes, share one flat array, replica-major, and each
 replica resurrects from its own source.  ``replica_layout`` derives, once
 per batch and from the replicas' particle counts alone, all that a step
-reads of where the replicas sit: each particle's replica, the first row and
-size of that replica and its key column, and the runs of equal-size
-replicas by which the source is sorted.  The four step kernels supply the
-loop's proposal for each dynamics kind: Gaussian moves (``step_gauss``),
-uniform redraws (``step_redraw``), uniformized finite chains
-(``step_finite``) and growth with multiplicative down-jumps
-(``step_growth_frag``).  Each kernel
+reads of where the replicas sit: each replica's first row and size, each
+particle's replica and key column, and the runs of equal-size replicas by
+which the source is sorted.  The four step kernels supply the loop's
+proposal for each dynamics kind: Gaussian moves (``step_gauss``), uniform
+redraws (``step_redraw``), uniformized finite chains (``step_finite``) and
+growth with multiplicative down-jumps (``step_growth_frag``).  Each kernel
 is bound to a model by its move object in ``qsdlab.models`` (``GaussMove``,
 ``RedrawMove``, ``ChainMove``, ``GrowthFragMove``), whose ``propose`` is the
 scalar reference of the same draws.  Drift and kill enter as family objects
-with a vectorized ``drift(x)`` and ``prob(x, gamma)`` on an ``(n, d)`` array.
+with a vectorized ``drift(x)`` and ``prob(x, gamma)``; ``_resample`` alone
+evaluates the kill.
 
 Randomness is counter-based: every draw is a 64-bit hash of
 ``(seed, step, particle, counter)``, so a run is reproducible from
@@ -160,16 +160,14 @@ def replica_bases(seeds: np.ndarray, sid0: int, n_steps: int) -> np.ndarray:
 class ReplicaLayout(NamedTuple):
     """Where each replica of a batch sits in the flat particle array:
     ``counts[r]`` particles of replica r from row ``start[r]``, replica-major.
-    Per particle: its ``replica``, the ``first`` row and ``size`` of that
-    replica, and its ``column``, ``i * KEY2`` for its index i within the
+    Per particle: its ``replica`` (so ``start[replica]`` is its replica's
+    first row) and its ``column``, ``i * KEY2`` for its index i within the
     replica, which ``batch_keys`` mixes into the step bases.  ``runs`` holds
     ``(row, reps, n)`` for each run of consecutive replicas of n particles."""
 
     counts: np.ndarray
     start: np.ndarray
     replica: np.ndarray
-    first: np.ndarray
-    size: np.ndarray
     column: np.ndarray
     runs: tuple
 
@@ -179,13 +177,11 @@ def replica_layout(counts) -> ReplicaLayout:
     counts = np.asarray(counts, dtype=np.int64)
     replica = np.repeat(np.arange(counts.size), counts)
     start = np.cumsum(counts) - counts
-    first = start[replica]
-    column = (np.arange(replica.size) - first).astype(np.uint64) * _KEY2
+    column = (np.arange(replica.size) - start[replica]).astype(np.uint64) * _KEY2
     heads = np.flatnonzero(np.diff(counts, prepend=-1))  # each run's first replica
     runs = zip(start[heads].tolist(), np.diff(heads, append=counts.size).tolist(),
                counts[heads].tolist())
-    return ReplicaLayout(counts, start, replica, first, counts[replica], column,
-                         tuple(runs))
+    return ReplicaLayout(counts, start, replica, column, tuple(runs))
 
 
 def batch_keys(bases: np.ndarray, layout: ReplicaLayout) -> np.ndarray:
@@ -214,7 +210,7 @@ def _normal_np(keys: np.ndarray, ctrs: np.ndarray) -> np.ndarray:
 # one-step kernels
 # ---------------------------------------------------------------------------
 
-def _resample(states, source, keys, layout, max_iters, propose, kill_prob):
+def _resample(states, source, keys, layout, max_iters, propose, kill, gamma):
     """Advance every particle one step in place; returns
     ``(deaths, replica_deaths, err)``.
 
@@ -222,20 +218,20 @@ def _resample(states, source, keys, layout, max_iters, propose, kill_prob):
     replica-major, and ``keys`` their streams.  ``propose(y, keys, ctrs)``
     moves the rows ``y`` with the streams ``(keys, ctrs)`` and advances
     ``ctrs`` past the draws it used; the next draw kills the proposal with
-    probability ``kill_prob(x)``.  A killed particle restarts from a uniform
-    draw among the ``n_r`` rows of its replica in ``source()``, the pre-step
-    states sorted replica by replica (called once, on the first death),
-    until it survives.  ``deaths`` is the total kill count and
-    ``replica_deaths`` the count of each replica (the total itself when
-    R = 1).  ``err`` is the first particle still dead when the budget of
-    ``max_iters`` rounds ran out (``states`` is then left as it was and
-    ``replica_deaths`` is None), else -1.
+    probability ``kill.prob(x, gamma)``.  A killed particle restarts from a
+    uniform draw among the ``n_r`` rows of its replica in ``source()``, the
+    pre-step states sorted replica by replica (called once, on the first
+    death), until it survives.  ``deaths`` is the total kill count and
+    ``replica_deaths`` the array of each replica's count.  ``err`` is the
+    first particle still dead when the budget of ``max_iters`` rounds ran
+    out (``states`` is then left as it was and ``replica_deaths`` is None),
+    else -1.
     """
     ctrs = np.zeros(keys.size, dtype=np.uint64)
     out = propose(states, keys, ctrs)
     u = _u01_np(keys, ctrs)
     ctrs += _ONE_U
-    dead = np.nonzero(~(u >= kill_prob(out)))[0]
+    dead = np.nonzero(~(u >= kill.prob(out, gamma)))[0]
     killed = [dead]
     src = source() if dead.size else None
     rounds = 1
@@ -246,27 +242,25 @@ def _resample(states, source, keys, layout, max_iters, propose, kill_prob):
         usel = _u01_np(ks, ctrs[dead])
         cs = ctrs[dead] + _ONE_U
         # row min(int(u * n_r), n_r - 1) of the particle's replica
-        size = layout.size[dead]
-        j = np.minimum((usel * size).astype(np.int64), size - 1) + layout.first[dead]
+        rep = layout.replica[dead]
+        size = layout.counts[rep]
+        j = np.minimum((usel * size).astype(np.int64), size - 1) + layout.start[rep]
         x = propose(src[j], ks, cs)
         u = _u01_np(ks, cs)
         ctrs[dead] = cs + _ONE_U
-        ok = u >= kill_prob(x)
+        ok = u >= kill.prob(x, gamma)
         out[dead[ok]] = x[ok]
         dead = dead[~ok]
         killed.append(dead)
         rounds += 1
     states[:] = out
-    deaths = sum(d.size for d in killed)
-    reps = layout.counts.size
-    if reps == 1:
-        return deaths, deaths, -1
-    return deaths, np.bincount(layout.replica[np.concatenate(killed)],
-                               minlength=reps), -1
+    killed = np.concatenate(killed)
+    return killed.size, np.bincount(layout.replica[killed],
+                                    minlength=layout.counts.size), -1
 
 
 # Every kernel takes (states, source, keys, layout, max_iters), as
-# ``_resample`` does, and the parameters of its kind by keyword.
+# ``_resample`` does, and the parameters of its kind, kill included, by keyword.
 
 def step_gauss(states, source, keys, layout, max_iters, *, gamma, drift, kill,
                wrap, noise):
@@ -280,8 +274,7 @@ def step_gauss(states, source, keys, layout, max_iters, *, gamma, drift, kill,
             ctrs += _TWO_U
         return wrap(y + gamma * drift.drift(y) + sqrtg * z)
 
-    return _resample(states, source, keys, layout, max_iters, propose,
-                     lambda x: kill.prob(x, gamma))
+    return _resample(states, source, keys, layout, max_iters, propose, kill, gamma)
 
 
 def step_redraw(states, source, keys, layout, max_iters, *, gamma, kill):
@@ -296,15 +289,14 @@ def step_redraw(states, source, keys, layout, max_iters, *, gamma, kill):
         ctrs[moved] += _ONE_U
         return x
 
-    return _resample(states, source, keys, layout, max_iters, propose,
-                     lambda x: kill.prob(x, gamma))
+    return _resample(states, source, keys, layout, max_iters, propose, kill, gamma)
 
 
-def step_finite(states, source, keys, layout, max_iters, *, cum_rows, p_kill,
-                unif_mean):
+def step_finite(states, source, keys, layout, max_iters, *, gamma, cum_rows,
+                unif_mean, kill):
     """Uniformized jump chain: a Poisson(``unif_mean``) number of jumps along
     the cumulative rows ``cum_rows``, then death with probability
-    ``p_kill[state]``."""
+    ``kill.prob(state, gamma)``."""
     n_states = cum_rows.shape[0]
     log_l = -unif_mean
 
@@ -331,8 +323,7 @@ def step_finite(states, source, keys, layout, max_iters, *, cum_rows, p_kill,
             njumps[need] -= 1
         return x
 
-    return _resample(states, source, keys, layout, max_iters, propose,
-                     lambda x: p_kill[x])
+    return _resample(states, source, keys, layout, max_iters, propose, kill, gamma)
 
 
 def step_growth_frag(states, source, keys, layout, max_iters, *, gamma, growth,
@@ -349,5 +340,4 @@ def step_growth_frag(states, source, keys, layout, max_iters, *, gamma, growth,
         x[jumped] *= frac
         return x
 
-    return _resample(states, source, keys, layout, max_iters, propose,
-                     lambda x: kill.prob(x, gamma))
+    return _resample(states, source, keys, layout, max_iters, propose, kill, gamma)

@@ -80,8 +80,9 @@ _EPILOG = f"""\
 exit codes:
   0  success
   2  bad config: parse error, unknown key or preset, invalid parameters,
-     empty sweep lists, a sweep gamma that takes no step up to the last
-     horizon, --jobs other than 1 outside sweep, --seed outside [0, 2**64)
+     empty sweep lists or a value repeated in one, a sweep gamma that
+     takes no step up to the last horizon, --jobs other than 1 outside
+     sweep, --seed outside [0, 2**64)
   3  runtime failure during simulation or analysis
   4  output directory cannot be created or written
 
@@ -334,25 +335,20 @@ def _run_sweep(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
     oracle_m = _oracle_measure(cfg)
     mhash = _model_hash({"name": cfg.model_name, "params": cfg.model_params})
 
-    points = []
-    groups = {}  # gamma -> its points' (n, seed), in point order
-    for gamma in gammas:
-        for n in ns:
-            for _ in range(n_seeds):
-                seed = _k.derive_key(cfg.seed, len(points), 0) % (2 ** 62)
-                points.append((gamma, n, seed))
-                groups.setdefault(gamma, []).append((n, seed))
+    grid = [(gamma, n) for gamma in gammas for n in ns for _ in range(n_seeds)]
+    points = [(gamma, n, _k.derive_key(cfg.seed, i, 0) % (2 ** 62))
+              for i, (gamma, n) in enumerate(grid)]
 
-    def work(group):
-        gamma, group_points = group
-        return _sweep_group(cfg, gamma, group_points, horizons, oracle_m, burn_frac)
+    def work(gamma):
+        return _sweep_group(cfg, gamma, [(n, s) for g, n, s in points if g == gamma],
+                            horizons, oracle_m, burn_frac)
 
-    # every gamma group runs as one batch on the pool, in any order; rows
-    # are written in point order, so the output is the same for every --jobs
+    # every gamma group runs as one batch on the pool, in any order; the
+    # gammas are distinct, so the groups' rows in gamma order are the rows
+    # in point order, the same for every --jobs
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        group_rows = {gamma: iter(rows) for gamma, rows
-                      in zip(groups, pool.map(work, groups.items()))}
-    results = [next(group_rows[gamma]) for gamma, _, _ in points]
+        results = [point_rows for group_rows in pool.map(work, gammas)
+                   for point_rows in group_rows]
     rows = []
     table = {}
     for (gamma, n, seed), point_rows in zip(points, results):

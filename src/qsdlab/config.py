@@ -54,10 +54,11 @@ def _count(lo: int):
             f"integer >= {lo}")
 
 
-def _list_of(check):
+def _list_of(check, distinct=False):
     ok, what = check
-    return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v)),
-            f"nonempty list of {what}")
+    return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v))
+            and not (distinct and len(set(v)) < len(v)),
+            f"nonempty list of {'distinct ' * distinct}{what}")
 
 
 def _one_of(names):
@@ -108,9 +109,9 @@ SCHEMA = {
         "n_max": (_count(1), "comparability depth"),
     },
     "sweep": {
-        "gammas": (_POSITIVES, "step sizes"),
-        "n_particles": (_list_of(_count(1)), "particle counts"),
-        "horizons": (_POSITIVES, "metric times"),
+        "gammas": (_list_of(_POSITIVE, distinct=True), "step sizes"),
+        "n_particles": (_list_of(_count(1), distinct=True), "particle counts"),
+        "horizons": (_list_of(_POSITIVE, distinct=True), "metric times"),
         "n_seeds": (_count(1), "seeds per (gamma, N)"),
         "burn_fraction": (_FRACTION, "share of each horizon left out"),
         "snapshot_stride": (_count(1), "steps between snapshots"),

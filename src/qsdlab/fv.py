@@ -9,9 +9,9 @@ the result reproducible regardless of scheduling and exactly exchangeable
 under joint permutation of labels and streams.  ``run_fv_batch`` advances
 runs that differ only in seed and particle count as one particle array,
 each run resurrecting from its own particles, so each equals its single run
-bit for bit.  A batch builds its replica layout and binds its step kernel
-once, and ``_advance``, the one step loop of the engine, yields each step's
-deaths to ``run_fv_batch``, which takes the snapshots.
+bit for bit.  A batch builds its replica layout, binds its step kernel and
+describes its model once, and ``_advance``, the one step loop of the engine,
+yields each step's deaths per replica to ``run_fv_batch``.
 
 Every data file of the package is written by ``write_json`` or
 ``write_csv``, so each format is spelled out once; ``write_report`` writes
@@ -23,8 +23,9 @@ from __future__ import annotations
 import json
 import numbers
 import pathlib
+import pickle
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,7 +190,7 @@ def _advance(model: KilledModel, states: np.ndarray, seeds,
              layout: _k.ReplicaLayout, sid0: int, n_steps: int, max_iters: int):
     """Advance the replicas of ``layout``, replica r with ``seeds[r]``, by
     ``n_steps`` steps in place, the first with stream id ``sid0``; yields
-    each step's death counts per replica (the total itself when R = 1).
+    each step's death counts per replica, an array of R entries.
 
     The step kernel is bound once, the step bases are derived a block of
     steps at a time, and the source of a step is sorted only when some
@@ -209,7 +210,8 @@ def _advance(model: KilledModel, states: np.ndarray, seeds,
                                        layout, max_iters)
             if err >= 0:
                 raise ResurrectionOverflowError(
-                    max_iters, step=sid - 1, particle=int(err - layout.first[err]),
+                    max_iters, step=sid - 1,
+                    particle=int(err - layout.start[layout.replica[err]]),
                     replica=int(layout.replica[err]) if seeds.size > 1 else -1)
             yield per_replica
 
@@ -222,15 +224,17 @@ def run_fv_batch(model: KilledModel, configs, init="uniform") -> list:
     otherwise).  All replicas advance together in one flat array of
     ``sum(N_r)`` particles, in one step loop that takes each snapshot, and
     replica r's report equals ``run_fv(model, configs[r], init)`` bit for
-    bit, except ``elapsed``, which is the batch's wall time.  An overflow
-    raises the step and particle that the single run of the first
-    overflowing replica reports, and names that replica.
+    bit, except ``elapsed``, which is the batch's wall time, and each holds
+    its own copy of one model block.  An overflow raises the step and
+    particle that the single run of the first overflowing replica reports,
+    and names that replica.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("a batch needs at least one config")
-    shared = dict(asdict(configs[0]), seed=0, n_particles=0)
-    if any(dict(asdict(c), seed=0, n_particles=0) != shared for c in configs):
+    # a config's fields are its instance dict, all plain ints
+    shared = dict(vars(configs[0]), seed=0, n_particles=0)
+    if any(dict(vars(c), seed=0, n_particles=0) != shared for c in configs):
         raise ValueError("the configs of a batch may differ only in seed and "
                          "n_particles")
     t0 = time.perf_counter()
@@ -247,9 +251,11 @@ def run_fv_batch(model: KilledModel, configs, init="uniform") -> list:
         if done % cfg.snapshot_stride == 0 or done == cfg.n_steps:
             snapshots.append((done, states.copy()))
     elapsed = time.perf_counter() - t0
+    # one model block, unpickled into a deep copy of its own for each report
+    block = pickle.dumps(model.describe())
     # each replica's snapshots are views of the batch's
-    return [FVReport(model=model.describe(),
-                     config=dict(asdict(c), gamma=model.gamma),
+    return [FVReport(model=pickle.loads(block),
+                     config=dict(vars(c), gamma=model.gamma),
                      deaths=deaths[:, r].copy(),
                      snapshots=[(s, arr[a:a + n]) for s, arr in snapshots],
                      final_states=states[a:a + n].copy(),
@@ -289,10 +295,13 @@ def _cells(column) -> list:
 def write_csv(path: pathlib.Path, header, columns, comment=None) -> None:
     """Write a CSV table column by column, under an optional ``# comment``
     line: ``header`` names the columns and ``columns`` holds one sequence
-    of values per name."""
+    of values per name, all of one length (ValueError otherwise)."""
+    cells = list(map(_cells, columns))
+    if len(set(map(len, cells))) > 1:
+        raise ValueError(f"CSV columns of unequal lengths {[*map(len, cells)]}")
     lines = [] if comment is None else [f"# {comment}"]
     lines.append(",".join(header))
-    lines.extend(map(",".join, zip(*map(_cells, columns))))
+    lines.extend(map(",".join, zip(*cells)))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -282,8 +282,8 @@ def fit_power_law(xs, ys) -> PowerLawFit:
     """Least-squares slope of log y against log x."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
-    if x.size < 3:
-        raise ValueError("need at least 3 points")
+    if x.size < 3 or np.unique(x).size < 2:
+        raise ValueError("need at least 3 points and 2 distinct x values")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("power-law fit needs positive data")
     slope, intercept, r2 = _lsq_loglog(np.log(x), np.log(y))
@@ -301,8 +301,8 @@ def fit_exponential_rate(ts, ds) -> ExpRateFit:
     """Fit ``d(t) ~ exp(-rate * t)``; returns the positive decay rate."""
     t = np.asarray(ts, dtype=float)
     d = np.asarray(ds, dtype=float)
-    if t.size < 3:
-        raise ValueError("need at least 3 points")
+    if t.size < 3 or np.unique(t).size < 2:
+        raise ValueError("need at least 3 points and 2 distinct times")
     if np.any(d <= 0):
         raise ValueError("exponential fit needs positive distances")
     slope, intercept, r2 = _lsq_loglog(t, np.log(d))

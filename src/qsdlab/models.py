@@ -391,6 +391,8 @@ class FiniteKilledChain:
             raise ValueError("jump_rates must be square")
         if self.kill_rates.shape != (n,):
             raise ValueError("kill_rates must have one entry per state")
+        if any(v is not None and len(v) != n for v in (self.labels, self.positions)):
+            raise ValueError("labels and positions must have one entry per state")
         self.jump_rates = sp.csr_matrix(rates)
         stored = self.jump_rates.data
         if not (np.all(np.isfinite(stored)) and np.all(np.isfinite(self.kill_rates))):
@@ -534,9 +536,9 @@ class ChainMove(_Move):
         return cum
 
     def kernel(self, model: KilledModel):
-        p_kill = model.kill.prob(np.arange(self.chain.n_states), model.gamma)
-        return partial(_k.step_finite, cum_rows=self.cum_rows, p_kill=p_kill,
-                       unif_mean=self.chain.conservative_rate() * model.gamma)
+        return partial(_k.step_finite, gamma=model.gamma, cum_rows=self.cum_rows,
+                       unif_mean=self.chain.conservative_rate() * model.gamma,
+                       kill=model.kill)
 
     def propose(self, model: KilledModel, x: int, rng: Stream) -> int:
         njumps = rng.poisson(self.chain.conservative_rate() * model.gamma)

@@ -152,7 +152,15 @@ def test_unknown_key_and_preset_and_params(tmp_path):
             ("oracle", {**harris, "mode": "oracle",
                         "oracle": {"survival_steps": 0}}),
             ("sweep", {**sweep, "metrics": ["w1_instnt"]}),
-            ("sweep", {**sweep, "sweep": {**sweep["sweep"], "oracle_t0": 1.0}}))):
+            ("sweep", {**sweep, "sweep": {**sweep["sweep"], "oracle_t0": 1.0}}),
+            # a repeated value would make the sweep's fits run on equal x
+            ("sweep", {**sweep, "sweep": {**sweep["sweep"], "gammas": [0.05, 0.05]}}),
+            ("sweep", {**sweep, "sweep": {**sweep["sweep"], "n_particles": [8, 8]}}),
+            ("sweep", {**sweep, "sweep": {**sweep["sweep"], "horizons": [0.1, 0.1]}}),
+            ("sweep", {**sweep, "model": {"name": "torus_diffusion",
+                                          "params": {"dim": 1, "kill": ["cosine", 1, 1]}},
+                       "sweep": {"gammas": [0.05] * 3, "n_particles": [8] * 3,
+                                 "horizons": [0.5] * 3}}))):
         cfg = _write(tmp_path, f"section{i}.json", doc)
         assert main([mode, "--config", cfg]) == EXIT_BAD_CONFIG, doc
     # a preset an oracle-backed mode cannot use, and a Harris base whose

@@ -16,6 +16,7 @@ from qsdlab.fv import (
     q_mu_step,
     run_fv,
     run_fv_batch,
+    write_csv,
     write_report,
 )
 from qsdlab.metrics import (
@@ -397,6 +398,36 @@ _REPORT_PINS = {
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_batch_describes_its_model_once(monkeypatch):
+    model = _torus(0.05, kill=1.0)
+    calls = []
+    describe = q.KilledModel.describe
+
+    def counted(self):
+        calls.append(self)
+        return describe(self)
+
+    monkeypatch.setattr(q.KilledModel, "describe", counted)
+    reps = run_fv_batch(model, [FVConfig(n_particles=n, n_steps=3, seed=s)
+                                for s, n in enumerate((4, 4, 6))])
+    assert len(calls) == 1
+    assert all(rep.model == describe(model) for rep in reps)
+    assert [rep.config["n_particles"] for rep in reps] == [4, 4, 6]
+    # each report owns its blocks: editing one leaves the others as they were
+    reps[0].model["name"] = "edited"
+    reps[0].model["drift_params"].append(1.0)
+    reps[0].config["seed"] = 99
+    assert reps[1].model == describe(model) and reps[1].config["seed"] == 1
+
+
+def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError, match="unequal"):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2, 3], [4]])
+    assert not (tmp_path / "bad.csv").exists()
+    write_csv(tmp_path / "ok.csv", ["a", "b"], [[1, 2], [3.5, None]])
+    assert (tmp_path / "ok.csv").read_text() == "a,b\n1,3.5\n2,\n"
 
 
 def test_write_report_round_trip(tmp_path):

@@ -241,6 +241,9 @@ def test_power_law_input_validation():
         fit_power_law([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0, -3.0], [1.0, 2.0, 3.0])
+    # a slope needs two distinct x values
+    with pytest.raises(ValueError, match="distinct"):
+        fit_power_law([0.05, 0.05, 0.05], [0.1, 0.2, 0.3])
 
 
 def test_exponential_rate_exact():
@@ -273,6 +276,8 @@ def test_exponential_rate_matches_conditional_gap():
 def test_exponential_rate_validation():
     with pytest.raises(ValueError):
         fit_exponential_rate([1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="distinct"):
+        fit_exponential_rate([0.5, 0.5, 0.5], [0.1, 0.2, 0.3])
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,17 @@ def test_uniformized_step_matches_matrix_exponential():
         assert np.all(np.abs(freq - expect) <= 3 * se + 1e-12)
 
 
+def test_chain_refuses_labels_or_positions_of_another_length():
+    rates = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="positions"):
+        q.FiniteKilledChain(rates, np.zeros(2), positions=np.array([0.5]))
+    with pytest.raises(ValueError, match="labels"):
+        q.FiniteKilledChain(rates, np.zeros(2), labels=("only",))
+    chain = q.FiniteKilledChain(rates, np.zeros(2), labels=("a", "b"),
+                                positions=np.array([0.25, 0.75]))
+    assert chain.as_dict()["labels"] == ["a", "b"]
+
+
 def test_finite_propose_without_jumps():
     chain = q.FiniteKilledChain(np.zeros((3, 3)), np.array([0.5, 0.0, 1.0]))
     model = q.discrete_model(chain, 0.3)
