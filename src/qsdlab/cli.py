@@ -139,43 +139,30 @@ def _chain_for(preset, section: dict):
     return grid_generator(preset, **n_grid)
 
 
-def _spectrum(cfg: ExperimentConfig, section: dict):
-    """``(preset, chain, t0, M, triplet)``: the preset's chain, the
-    section's ``t0`` (else the preset's horizon, else the chain's default)
-    and ``oracle.spectrum(chain, t0)``, whose ``M`` is None on the generator
-    path."""
-    preset = cfg.preset()
-    chain = _chain_for(preset, section)
+def _spectrum(preset, chain, section: dict):
+    """``(t0, M, triplet)``: the section's ``t0`` (else the preset's
+    horizon, else the chain's default) and ``oracle.spectrum(chain, t0)``,
+    whose ``M`` is None on the generator path."""
     t0 = float(section.get("t0", preset.horizon or default_horizon(chain)))
-    return (preset, chain, t0, *spectrum(chain, t0))
+    return (t0, *spectrum(chain, t0))
 
 
 def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
-    preset, chain, t0, m, trip = _spectrum(cfg, cfg.oracle)
+    preset = cfg.preset()
+    chain = _chain_for(preset, cfg.oracle)
+    t0, m, trip = _spectrum(preset, chain, cfg.oracle)
     comps = list_qsds(m, trip)
     payload = {
         "model": {"name": cfg.model_name, "params": cfg.model_params},
         "t0": t0,
         "n_states": chain.n_states,
         "primitive": isinstance(trip, EigenTriplet),
-        "qsds": [
-            {"theta": c.theta,
-             "class_states": c.class_states.tolist(),
-             "weights": c.qsd.tolist()}
-            for c in comps
-        ],
+        "qsds": [{"theta": c.theta, "class_states": c.class_states, "weights": c.qsd}
+                 for c in comps],
     }
     if isinstance(trip, EigenTriplet):
-        payload["triplet"] = {
-            "theta": trip.theta,
-            "rho": trip.rho,
-            "converged": trip.converged,
-            "iterations": trip.iterations,
-            "residual_left": trip.residual_left,
-            "residual_right": trip.residual_right,
-            "gamma_left": trip.gamma_left.tolist(),
-            "h": trip.h.tolist(),
-        }
+        # the triplet's fields; its t0 is the payload's
+        payload["triplet"] = {k: v for k, v in vars(trip).items() if k != "t0"}
     else:
         payload["reducibility"] = str(trip)
     closed = preset.closed_forms()
@@ -190,7 +177,7 @@ def _run_oracle(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
         # started from the QSD, survival over k horizons is exactly rho**k
         surv = (trip.rho ** np.arange(1, n_surv + 1) if m is None
                 else survival_curve(m, comps[0].qsd, n_surv))
-        payload["survival_from_qsd"] = surv.tolist()
+        payload["survival_from_qsd"] = surv
     if chain.n_states <= 256:  # grids would dump megabytes of matrix
         payload["chain"] = chain.as_dict()
     write_json(out / "oracle.json", payload)
@@ -219,17 +206,9 @@ def _run_harris(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
     if cert.all_pass:
         rep = verify_conclusion(m, cert)
         if isinstance(rep, ConclusionReport):
-            payload["conclusion"] = {
-                "theta": rep.theta,
-                "eig_lower_slack": rep.eig_lower_slack,
-                "eig_upper_slack": rep.eig_upper_slack,
-                "bounds_hold": rep.bounds_hold,
-                "gamma_of_V": rep.gamma_of_V,
-                "c2": rep.c2,
-                "c1_by_q": {str(k): v for k, v in rep.c1_by_q.items()},
-                "omega_fit": rep.omega_fit,
-                "omega_r2": rep.omega_r2,
-            }
+            # the report's fields, its float keys q written as text
+            payload["conclusion"] = dict(
+                vars(rep), c1_by_q={str(k): v for k, v in rep.c1_by_q.items()})
         else:  # M is not primitive, so it has no Perron triplet
             payload["reducibility"] = str(rep)
     write_json(out / "certificate.json", payload)
@@ -254,11 +233,14 @@ def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _oracle_measure(cfg: ExperimentConfig):
-    _, chain, _, _, trip = _spectrum(cfg, cfg.sweep)
+    preset = cfg.preset()
+    chain = _chain_for(preset, cfg.sweep)
     if chain.space.circle is None:
-        # particle positions are compared with the grid cells' positions
+        # particle positions are compared with the grid cells' positions;
+        # refused before the eigensolve
         raise ConfigError(f"sweep needs a continuous preset with a grid "
                           f"oracle, and {cfg.model_name} has none")
+    _, _, trip = _spectrum(preset, chain, cfg.sweep)
     if not isinstance(trip, EigenTriplet):
         raise RuntimeError(f"sweep oracle needs a primitive chain: {trip}")
     return EmpiricalMeasure(chain.positions, trip.gamma_left, space=chain.space)

@@ -14,8 +14,9 @@ describes its model once, and ``_advance``, the one step loop of the engine,
 yields each step's deaths per replica to ``run_fv_batch``.
 
 Every data file of the package is written by ``write_json`` or
-``write_csv``, so each format is spelled out once; ``write_report`` writes
-a run's files with them.
+``write_csv``, so each format is spelled out once: ``write_json`` turns a
+numpy array or scalar into its ``tolist()`` and ``_cells`` writes a CSV
+value.  ``write_report`` writes a run's files with them.
 """
 
 from __future__ import annotations
@@ -277,8 +278,21 @@ def run_fv(model: KilledModel, config: FVConfig, init="uniform") -> FVReport:
 # serialization: the one JSON writer and the one CSV writer of every data file
 # ---------------------------------------------------------------------------
 
+def _plain(value):
+    """``value`` with every numpy array or scalar in it, inside dicts, lists
+    and tuples, replaced by its ``tolist()``; anything else json does not
+    take still raises TypeError in ``json.dumps``."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+
+
 def write_json(path: pathlib.Path, payload) -> None:
-    """Write ``payload`` as JSON with sorted keys and a one-space indent."""
+    """Write ``payload`` as JSON with sorted keys and a one-space indent;
+    numpy values are written as their ``tolist()``."""
+    payload = _plain(payload)
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
@@ -297,6 +311,8 @@ def write_csv(path: pathlib.Path, header, columns, comment=None) -> None:
     line: ``header`` names the columns and ``columns`` holds one sequence
     of values per name, all of one length (ValueError otherwise)."""
     cells = list(map(_cells, columns))
+    if len(cells) != len(header):
+        raise ValueError(f"CSV header names {len(header)} columns, got {len(cells)}")
     if len(set(map(len, cells))) > 1:
         raise ValueError(f"CSV columns of unequal lengths {[*map(len, cells)]}")
     lines = [] if comment is None else [f"# {comment}"]
@@ -323,7 +339,7 @@ def write_report(report: FVReport, outdir) -> dict:
         "n_particles": report.config["n_particles"],
         "gamma": report.config["gamma"],
         "geometry": report.model["geometry"],
-        "deaths_per_step": report.deaths.tolist(),
+        "deaths_per_step": report.deaths,
         "snapshot_steps": [s for s, _ in report.snapshots],
     })
     write_json(out / "run_meta.json", {"elapsed_seconds": report.elapsed})

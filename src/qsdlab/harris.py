@@ -102,6 +102,7 @@ class HarrisCertificate:
         return self.beta - self.alpha
 
     def as_dict(self) -> dict:
+        # plain values, so that two certificates' dicts compare with ==
         return {
             "t0": self.t0,
             "alpha": self.alpha,

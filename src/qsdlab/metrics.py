@@ -192,7 +192,10 @@ def w1_circle(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
 
 def w1_line(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Plain one-dimensional Wasserstein-1 (integral of |F_a - F_b|): the
-    one-row case of ``w1_rows``, with ``a``'s weights."""
+    one-row case of ``w1_rows``, with ``a``'s weights.  Both measures lie
+    on one real space (ValueError otherwise)."""
+    if a.space != b.space or a.space.circle is None:
+        raise ValueError(f"w1_line needs one real space, got {a.space} and {b.space}")
     return _w1_line_rows(*_merged_cdf_difference(_flat_1d(a)[None], a.weights, b))[0]
 
 

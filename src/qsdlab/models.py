@@ -17,7 +17,7 @@ closed-form quasi-stationary distributions.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import cached_property, partial
 from typing import Callable, Optional
 
@@ -176,7 +176,9 @@ class Finite:
 # points; the particle engine passes whole ensembles, the scalar reference
 # (``propose`` / ``kill_prob``) passes one row and the grid oracle passes
 # its grid.  ``tag`` and ``params`` are the family's entries in the model
-# block of ``report.json``; a drift's ``params`` take the space's ``dim``.
+# block of ``report.json``; a drift's ``params`` take the space's ``dim``,
+# and a kill's ``params`` are its fields, padded with zeros to the two
+# slots ``kp0``, ``kp1``.
 
 @dataclass(frozen=True)
 class ZeroDrift:
@@ -229,7 +231,15 @@ class SineDrift:
         return out
 
 
-class _SoftKill:
+class _Kill:
+    """A kill family, whose ``params`` are its fields."""
+
+    @property
+    def params(self) -> tuple:
+        return (astuple(self) + (0.0, 0.0))[:2]
+
+
+class _SoftKill(_Kill):
     """Killing at ``rate(x)`` per unit time: probability ``1 - exp(-gamma*rate)``
     over one step."""
 
@@ -240,7 +250,6 @@ class _SoftKill:
 @dataclass(frozen=True)
 class NoKill(_SoftKill):
     tag = 0
-    params = (0.0, 0.0)
 
     def rate(self, x: np.ndarray) -> np.ndarray:
         return np.zeros(x.shape[0])
@@ -255,10 +264,6 @@ class ConstKill(_SoftKill):
     def __post_init__(self):
         if not (0.0 <= self.level < math.inf):
             raise ValueError("constant kill rate must be finite and nonnegative")
-
-    @property
-    def params(self) -> tuple:
-        return (self.level, 0.0)
 
     def rate(self, x: np.ndarray) -> np.ndarray:
         return np.full(x.shape[0], self.level)
@@ -280,16 +285,12 @@ class CosineKill(_SoftKill):
         if not (0.0 <= self.amplitude <= self.level < math.inf):
             raise ValueError("cosine kill rate needs 0 <= amplitude <= level, finite")
 
-    @property
-    def params(self) -> tuple:
-        return (self.level, self.amplitude)
-
     def rate(self, x: np.ndarray) -> np.ndarray:
         return self.level + self.amplitude * np.cos(_TWO_PI * x[:, 0])
 
 
 @dataclass(frozen=True)
-class IntervalKill:
+class IntervalKill(_Kill):
     """Hard killing, which has no rate: probability 1 unless the first
     coordinate lies in (lo, hi)."""
 
@@ -301,10 +302,6 @@ class IntervalKill:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("interval kill bounds must be finite")
-
-    @property
-    def params(self) -> tuple:
-        return (self.lo, self.hi)
 
     def prob(self, x: np.ndarray, gamma: float) -> np.ndarray:
         return np.where((x[:, 0] > self.lo) & (x[:, 0] < self.hi), 0.0, 1.0)
@@ -324,16 +321,12 @@ class PowerKill(_SoftKill):
             raise ValueError("power kill rate needs finite nonnegative coefficient "
                              "and exponent")
 
-    @property
-    def params(self) -> tuple:
-        return (self.c, self.q)
-
-    def rate(self, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        return scale * self.c * x[:, 0] ** self.q
+    def rate(self, x: np.ndarray) -> np.ndarray:
+        return self.c * x[:, 0] ** self.q
 
     def prob(self, x: np.ndarray, gamma: float) -> np.ndarray:
         # (-gamma * c) * x**q: this rounding order is part of the pinned runs
-        return 1.0 - np.exp(self.rate(x, -gamma))
+        return 1.0 - np.exp((-gamma * self.c) * x[:, 0] ** self.q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +337,7 @@ class StateKill(_SoftKill):
     rates: np.ndarray
 
     tag = 0
-    params = (0.0, 0.0)
+    params = (0.0, 0.0)  # a finite chain reports no kill family
 
     def __post_init__(self):
         if not np.all((0.0 <= self.rates) & (self.rates < math.inf)):
@@ -393,7 +386,7 @@ class FiniteKilledChain:
             raise ValueError("kill_rates must have one entry per state")
         if any(v is not None and len(v) != n for v in (self.labels, self.positions)):
             raise ValueError("labels and positions must have one entry per state")
-        self.jump_rates = sp.csr_matrix(rates)
+        self.jump_rates = rates if sp.issparse(rates) else _dense_csr(rates)
         stored = self.jump_rates.data
         if not (np.all(np.isfinite(stored)) and np.all(np.isfinite(self.kill_rates))):
             raise ValueError("rates must be finite")
@@ -418,6 +411,7 @@ class FiniteKilledChain:
 
     def as_dict(self) -> dict:
         """JSON-ready form; dense matrices as row-major nested lists."""
+        # plain floats and ints, so that json.dumps takes it as it is
         return {
             "name": self.name,
             "geometry": self.space.name,
@@ -443,6 +437,22 @@ class FiniteKilledChain:
 
     def conservative_rate(self) -> float:
         return float(self._outflow.max())
+
+
+def _dense_csr(dense: np.ndarray) -> sp.csr_matrix:
+    """``sp.csr_matrix(dense)``, the same arrays, filled 128 rows at a time,
+    so no COO copy of the whole matrix is made."""
+    indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(dense, axis=1), out=indptr[1:])
+    index = np.int32 if max(indptr[-1], *dense.shape) < 2 ** 31 else np.int64
+    indices = np.empty(indptr[-1], dtype=index)
+    data = np.empty(indptr[-1], dtype=dense.dtype)
+    for r0 in range(0, dense.shape[0], 128):
+        rows = dense[r0:r0 + 128]
+        nz = np.nonzero(rows)
+        span = slice(indptr[r0], indptr[r0 + rows.shape[0]])
+        indices[span], data[span] = nz[1], rows[nz]
+    return sp.csr_matrix((data, indices, indptr.astype(index)), shape=dense.shape)
 
 
 def _nearest_neighbour(up: np.ndarray, down, periodic: bool = False) -> sp.csr_matrix:
@@ -601,6 +611,8 @@ class KilledModel:
             "gamma": self.gamma,
             "kind": self.move.tag,
             "drift_id": self.move.drift.tag,
+            # plain floats: the trajectory pins hash json.dumps of this block,
+            # and an int drift speed is written as a float
             "drift_params": [float(v) for v in self.move.drift.params(self.space.dim)],
             "kill_id": self.kill.tag,
             "kp0": kp0,

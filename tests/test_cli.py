@@ -233,6 +233,20 @@ _BD40 = {"name": "birth_death",
          "params": {"b": 4.0, "d": 1.0, "b1": 1.0, "d1": 0.1, "truncation": 40}}
 
 
+def test_sweep_refuses_a_finite_preset_before_the_eigensolve(tmp_path, monkeypatch,
+                                                             capsys):
+    def refuse(chain, t0):
+        raise AssertionError("the sweep solved the chain of a preset it refuses")
+
+    monkeypatch.setattr(qsdlab.cli, "spectrum", refuse)
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "sweep", "model": _BD40, "output_dir": str(tmp_path / "never"),
+        "sweep": {"gammas": [0.1], "n_particles": [8], "horizons": [1.0]},
+    })
+    assert main(["sweep", "--config", cfg]) == EXIT_BAD_CONFIG
+    assert "continuous preset" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode, t0, model", [
     pytest.param("oracle", 1e308, _BD40, id="oracle-1e+308"),
     pytest.param("harris", 1e308, _BD40, id="harris-1e+308"),

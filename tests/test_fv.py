@@ -17,6 +17,7 @@ from qsdlab.fv import (
     run_fv,
     run_fv_batch,
     write_csv,
+    write_json,
     write_report,
 )
 from qsdlab.metrics import (
@@ -428,6 +429,25 @@ def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
     assert not (tmp_path / "bad.csv").exists()
     write_csv(tmp_path / "ok.csv", ["a", "b"], [[1, 2], [3.5, None]])
     assert (tmp_path / "ok.csv").read_text() == "a,b\n1,3.5\n2,\n"
+
+
+def test_write_csv_refuses_a_header_of_another_length(tmp_path):
+    for header in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="header"):
+            write_csv(tmp_path / "bad.csv", header, [[1, 2], [3, 4]])
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_write_json_writes_numpy_values_as_their_lists(tmp_path):
+    write_json(tmp_path / "np.json", {
+        "array": np.array([[0.1, 2.0], [3.0, -0.0]]), "int": np.int64(7),
+        "float": np.float64(0.1), "bool": np.bool_(True), "f32": np.float32(0.5)})
+    write_json(tmp_path / "plain.json", {
+        "array": [[0.1, 2.0], [3.0, -0.0]], "int": 7, "float": 0.1, "bool": True,
+        "f32": 0.5})
+    assert (tmp_path / "np.json").read_text() == (tmp_path / "plain.json").read_text()
+    with pytest.raises(TypeError, match="set"):
+        write_json(tmp_path / "bad.json", {"set": {1, 2}})
 
 
 def test_write_report_round_trip(tmp_path):

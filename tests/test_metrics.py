@@ -117,6 +117,16 @@ def test_geometry_mismatch_rejected():
             w1_auto(x, y)
 
 
+def test_w1_line_refuses_a_finite_space_and_two_spaces():
+    torus = EmpiricalMeasure(np.array([0.1]), space=q.Torus())
+    interval = EmpiricalMeasure(np.array([0.2]), space=q.Interval())
+    finite = EmpiricalMeasure(np.array([0.0, 2.0]), space=q.Finite(3))
+    for x, y in ((torus, interval), (interval, torus), (finite, finite)):
+        with pytest.raises(ValueError, match="one real space"):
+            w1_line(x, y)
+    assert w1_line(torus, torus) == 0.0
+
+
 def test_empirical_sampling_rate_matches_dimension_one():
     # distance between two same-law samples decays like N^{-1/2}
     rng = np.random.default_rng(14)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import qsdlab as q
 from qsdlab.cli import EXIT_BAD_CONFIG, EXIT_OK, main
@@ -102,6 +103,22 @@ def test_chain_refuses_labels_or_positions_of_another_length():
     chain = q.FiniteKilledChain(rates, np.zeros(2), labels=("a", "b"),
                                 positions=np.array([0.25, 0.75]))
     assert chain.as_dict()["labels"] == ["a", "b"]
+
+
+def test_dense_chain_stores_the_csr_arrays_of_its_rates():
+    rng = np.random.default_rng(5)
+    dense = rng.random((300, 300))
+    dense[dense < 0.7] = 0.0
+    dense[:, 0] = 0.0
+    np.fill_diagonal(dense, 0.0)
+    grid = q.HouseOfCard(1.0, 0.5).chain(200, zero_atom=True)
+    for chain, rates in ((q.FiniteKilledChain(dense, np.zeros(300)), dense),
+                         (grid, grid.jump_rates.toarray())):
+        ref = sp.csr_matrix(rates)
+        for name in ("indices", "indptr", "data"):
+            got, want = getattr(chain.jump_rates, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want)
 
 
 def test_finite_propose_without_jumps():
