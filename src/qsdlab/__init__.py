@@ -5,7 +5,7 @@ exact spectral references on finite or grid state spaces, and certify
 Harris-type drift/minorization conditions numerically.
 """
 
-from ._kernels import ResurrectionOverflowError
+from ._kernels import ResurrectionOverflowError, Stream, substream
 from .fv import FVConfig, FVReport, q_mu_step, run_fv, run_fv_batch
 from .metrics import (
     EmpiricalMeasure,
@@ -61,6 +61,5 @@ from .oracle import (
     spectrum,
     survival_curve,
 )
-from .streams import Stream, substream
 
 __version__ = "0.1.0"

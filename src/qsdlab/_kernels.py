@@ -22,17 +22,24 @@ Randomness is counter-based: every draw is a 64-bit hash of
 ``(seed, model, config)`` alone, permuting particle labels together with
 their stream ids commutes exactly with a step, and neither chunking a run
 into sub-ranges of steps nor batching it with other replicas can change its
-output.
+output.  Every draw is written here twice, side by side: a numpy form over
+arrays of keys and counters, for the engine, and a Python-int form on one
+stream, for the particle-by-particle reference.  ``Stream`` is the
+reference's cursor, one key and its next counter, and its draws equal the
+numpy forms' bit for bit (numpy's ``log`` and ``cos``, not ``math``'s).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "Stream",
+    "substream",
     "derive_key",
     "raw_draw",
     "u01_from_raw",
@@ -122,21 +129,6 @@ def u01_from_raw(raw: int) -> float:
     return (raw >> 11) * _U53
 
 
-def _u01_py(key: int, ctr: int) -> float:
-    return u01_from_raw(raw_draw(key, ctr))
-
-
-def _u01_open_py(key: int, ctr: int) -> float:
-    return ((raw_draw(key, ctr) >> 11) + 1) * _U53
-
-
-def _normal_py(key: int, ctr: int) -> float:
-    # numpy's log and cos, not math's, so the draw equals _normal_np's bit for bit
-    u1 = _u01_open_py(key, ctr)
-    u2 = _u01_py(key, ctr + 1)
-    return float(np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2))
-
-
 # vectorized uint64 forms (array arithmetic wraps silently)
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
@@ -204,6 +196,58 @@ def _normal_np(keys: np.ndarray, ctrs: np.ndarray) -> np.ndarray:
     u1 = ((_raw_np(keys, ctrs) >> _SH11) + _ONE_U) * _U53
     u2 = (_raw_np(keys, ctrs + _ONE_U) >> _SH11) * _U53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+
+
+# the Python-int forms, on one stream at a time
+
+@dataclass
+class Stream:
+    """The reference's cursor: the draws of ``key`` from ``counter`` on,
+    each advancing ``counter`` past the positions it reads and equal, bit
+    for bit, to its numpy form at the same key and counter."""
+
+    key: int
+    counter: int = 0
+
+    def _raw(self) -> int:
+        raw = raw_draw(self.key, self.counter)
+        self.counter += 1
+        return raw
+
+    def u01(self) -> float:
+        """Uniform draw on [0, 1), as ``_u01_np``."""
+        return u01_from_raw(self._raw())
+
+    def u01_open(self) -> float:
+        """Uniform draw on (0, 1], the ``u1`` of ``_normal_np``."""
+        return ((self._raw() >> 11) + 1) * _U53
+
+    def normal(self) -> float:
+        """Standard normal draw (consumes two counter positions), as ``_normal_np``."""
+        u1 = self.u01_open()
+        u2 = self.u01()
+        return float(np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2))
+
+    def pick(self, n: int) -> int:
+        """Uniform index in ``range(n)``."""
+        return min(int(self.u01() * n), n - 1)
+
+    def poisson(self, mean: float) -> int:
+        """Poisson draw by Knuth's product method, as ``step_finite``'s: sums
+        the logs of open uniforms until the sum is at most ``-mean``, so
+        even ``poisson(0)`` takes one draw."""
+        acc = 0.0
+        k = 0
+        while True:
+            acc += np.log(self.u01_open())
+            if acc <= -mean:
+                return k
+            k += 1
+
+
+def substream(seed: int, stream_id: int, particle: int = 0) -> Stream:
+    """Stream addressed by (seed, stream id, particle id)."""
+    return Stream(derive_key(seed, stream_id, particle))
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,11 @@ def _run_sweep(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
     n_seeds = int(sw.get("n_seeds", 1))
     burn_frac = float(sw.get("burn_fraction", 0.5))
     for gamma in gammas:
-        if round(max(horizons) / gamma) == 0:
+        steps = max(horizons) / gamma
+        if not math.isfinite(steps):
+            raise ConfigError(f"sweep gamma {gamma!r} takes more steps up to the "
+                              f"last horizon {max(horizons)!r} than a float counts")
+        if round(steps) == 0:
             raise ConfigError(f"sweep gamma {gamma!r} takes no step up to the "
                               f"last horizon {max(horizons)!r}")
     oracle_m = _oracle_measure(cfg)

@@ -65,9 +65,11 @@ def _one_of(names):
     return (lambda v: v in names, "one of " + ", ".join(names))
 
 
+_NUMBERS = _list_of((_is_number, "number"))
 _INIT = (lambda v: v == "uniform" or (isinstance(v, list) and len(v) == 2
-                                       and v[0] == "dirac"),
-         '"uniform" or ["dirac", state]')
+                                       and v[0] == "dirac"
+                                       and (_is_number(v[1]) or _NUMBERS[0](v[1]))),
+         '"uniform" or ["dirac", number or list of numbers]')
 # a run seed keys 64-bit streams, so a larger seed would alias a smaller one
 _SEED = (lambda v: _count(0)[0](v) and v < 2 ** 64, "integer in [0, 2**64)")
 _STRING = (lambda v: isinstance(v, str), "string")

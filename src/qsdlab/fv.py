@@ -9,9 +9,13 @@ the result reproducible regardless of scheduling and exactly exchangeable
 under joint permutation of labels and streams.  ``run_fv_batch`` advances
 runs that differ only in seed and particle count as one particle array,
 each run resurrecting from its own particles, so each equals its single run
-bit for bit.  A batch builds its replica layout, binds its step kernel and
-describes its model once, and ``_advance``, the one step loop of the engine,
-yields each step's deaths per replica to ``run_fv_batch``.
+bit for bit.  A batch builds its replica layout and binds its step kernel
+once, and ``_advance``, the one step loop of the engine, yields each step's
+deaths per replica to ``run_fv_batch``.  A report holds the model and the
+config it ran; ``write_report`` builds the blocks of ``report.json`` from
+them.  The particle-by-particle reference (``q_mu_step``,
+``fv_step_reference``) draws from ``_kernels.Stream``, the scalar form of the
+engine's draws.
 
 Every data file of the package is written by ``write_json`` or
 ``write_csv``, so each format is spelled out once: ``write_json`` turns a
@@ -24,16 +28,14 @@ from __future__ import annotations
 import json
 import numbers
 import pathlib
-import pickle
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as _k
-from ._kernels import ResurrectionOverflowError
-from .models import KilledModel, kill_prob, propose
-from .streams import Stream, substream
+from ._kernels import ResurrectionOverflowError, Stream, substream
+from .models import KilledModel, ModelEvaluationError, kill_prob, propose
 
 __all__ = [
     "FVConfig",
@@ -77,10 +79,11 @@ class FVConfig:
 
 @dataclass
 class FVReport:
-    """A run: model block, config (seed, N, gamma), deaths, snapshots, final states."""
+    """A run: the model and the config it ran, the deaths per step, the
+    snapshots ``(step, states)`` and the final states."""
 
-    model: dict
-    config: dict
+    model: KilledModel
+    config: FVConfig
     deaths: np.ndarray
     snapshots: list
     final_states: np.ndarray
@@ -225,10 +228,12 @@ def run_fv_batch(model: KilledModel, configs, init="uniform") -> list:
     otherwise).  All replicas advance together in one flat array of
     ``sum(N_r)`` particles, in one step loop that takes each snapshot, and
     replica r's report equals ``run_fv(model, configs[r], init)`` bit for
-    bit, except ``elapsed``, which is the batch's wall time, and each holds
-    its own copy of one model block.  An overflow raises the step and
+    bit, except ``elapsed``, which is the batch's wall time; it holds
+    ``model`` and ``configs[r]`` themselves.  An overflow raises the step and
     particle that the single run of the first overflowing replica reports,
-    and names that replica.
+    and names that replica.  A snapshot whose states are not all in the
+    model's space (a non-finite move, say) raises ModelEvaluationError
+    naming its step.
     """
     configs = list(configs)
     if not configs:
@@ -244,20 +249,24 @@ def run_fv_batch(model: KilledModel, configs, init="uniform") -> list:
     states = np.concatenate([init_states(model, c.n_particles, c.seed, init)
                              for c in configs])
     deaths = np.zeros((cfg.n_steps, len(configs)), dtype=np.int64)
-    snapshots = [(0, states.copy())]
+    snapshots = []
+
+    def snapshot(step):
+        if not model.space.allows(states):
+            raise ModelEvaluationError(f"{model.name} has states outside "
+                                       f"{model.space} at step {step}")
+        snapshots.append((step, states.copy()))
+
+    snapshot(0)
     steps = _advance(model, states, [c.seed for c in configs], layout, 1,
                      cfg.n_steps, cfg.max_resurrection_iters)
     for done, dead in enumerate(steps, 1):
         deaths[done - 1] = dead
         if done % cfg.snapshot_stride == 0 or done == cfg.n_steps:
-            snapshots.append((done, states.copy()))
+            snapshot(done)
     elapsed = time.perf_counter() - t0
-    # one model block, unpickled into a deep copy of its own for each report
-    block = pickle.dumps(model.describe())
     # each replica's snapshots are views of the batch's
-    return [FVReport(model=pickle.loads(block),
-                     config=dict(vars(c), gamma=model.gamma),
-                     deaths=deaths[:, r].copy(),
+    return [FVReport(model=model, config=c, deaths=deaths[:, r].copy(),
                      snapshots=[(s, arr[a:a + n]) for s, arr in snapshots],
                      final_states=states[a:a + n].copy(),
                      elapsed=elapsed)
@@ -328,17 +337,20 @@ def write_report(report: FVReport, outdir) -> dict:
     ``report.json`` and the snapshot CSVs (columns ``particle,state`` on a
     finite chain, else ``particle,x0,x1,...``) are byte-deterministic
     functions of the run; wall-clock timing goes to ``run_meta.json``.
+    The model block of ``report.json`` is the model's ``describe()`` and
+    its config block the config's fields with the model's ``gamma``.
     """
     out = pathlib.Path(outdir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
+    model, config = report.model, report.config
     write_json(out / "report.json", {
-        "model": report.model,
-        "config": report.config,
-        "seed": report.config["seed"],
+        "model": model.describe(),
+        "config": dict(vars(config), gamma=model.gamma),
+        "seed": config.seed,
         "backend": "numpy",
-        "n_particles": report.config["n_particles"],
-        "gamma": report.config["gamma"],
-        "geometry": report.model["geometry"],
+        "n_particles": config.n_particles,
+        "gamma": model.gamma,
+        "geometry": model.space.name,
         "deaths_per_step": report.deaths,
         "snapshot_steps": [s for s, _ in report.snapshots],
     })

@@ -8,8 +8,8 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernels import Stream
 from .models import Interval, Torus
-from .streams import Stream
 
 __all__ = [
     "EmpiricalMeasure",
@@ -258,7 +258,7 @@ def estimate_theta(report, burn_in: int) -> ThetaEstimate:
     if burn_in < 0 or burn_in >= deaths.size:
         raise ValueError("burn_in must leave at least one step")
     kept = deaths[burn_in:]
-    n, gamma = report.config["n_particles"], report.config["gamma"]
+    n, gamma = report.config.n_particles, report.model.gamma
     rates = kept / (n * gamma)
     value = float(rates.mean())
     stderr = float(rates.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0

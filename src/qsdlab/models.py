@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels as _k
-from .streams import Stream
+from ._kernels import Stream
 
 __all__ = [
     "Torus",
@@ -601,8 +601,10 @@ class KilledModel:
     kill: object = NoKill()
 
     def __post_init__(self):
-        if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
-            raise ValueError("gamma must be a positive real")
+        # a bool gamma would be written to report.json as true
+        if (isinstance(self.gamma, bool) or not (self.gamma > 0.0)
+                or not math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be a positive real, got {self.gamma!r}")
 
     def describe(self) -> dict:
         kp0, kp1 = self.kill.params

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.linalg
 
 import qsdlab as q
+from qsdlab import substream
 from qsdlab.cli import main as cli_main
 from qsdlab.fv import FVConfig, init_states, run_fv, run_fv_batch
 from qsdlab.harris import (
@@ -39,7 +40,6 @@ from qsdlab.oracle import (
     spectral_gap,
     survival_curve,
 )
-from qsdlab.streams import substream
 from tests.conftest import CriterionTimer, random_chain
 
 HOUSE_THETA = (math.e - 2.0) / (math.e - 1.0)

@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 
 import qsdlab.cli
-from qsdlab.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_OK, main
+from qsdlab.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 from qsdlab.config import ConfigError, parse_config
 from qsdlab.metrics import fit_exponential_rate
+
+
+# a child process imports the qsdlab of this process, installed or not
+_SRC = os.path.dirname(os.path.dirname(qsdlab.__file__))
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def _sha256(path) -> str:
@@ -102,6 +108,7 @@ def test_unknown_key_and_preset_and_params(tmp_path):
     for i, (name, params, init) in enumerate((
             ("two_point", {"a": 1.0, "b": 2.0}, ["dirac", 5]),
             ("two_point", {"a": 1.0, "b": 2.0}, ["dirac", 0.5]),
+            ("two_point", {"a": 1.0, "b": 2.0}, ["dirac", True]),
             ("interval_brownian", {}, ["dirac", 2.0]),
             ("interval_brownian", {}, ["dirac", 0.0]),
             ("interval_brownian", {}, "bogus"),
@@ -180,6 +187,9 @@ def test_unknown_key_and_preset_and_params(tmp_path):
             ("sweep", {**sweep, "model": harris["model"]}),
             # round(0.1 / 0.5) = 0 steps
             ("sweep", {**sweep, "sweep": {**sweep["sweep"], "gammas": [0.5]}}),
+            # 1.0 / 1e-320 steps is inf
+            ("sweep", {**sweep, "sweep": {**sweep["sweep"], "gammas": [1e-320],
+                                          "horizons": [1.0]}}),
             ("sweep", {**sweep, "model": {"name": "two_point",
                                           "params": {"a": 1.0, "b": 2.0}}}))):
         cfg = _write(tmp_path, f"refused{i}.json",
@@ -267,7 +277,7 @@ def test_horizon_too_long_to_uniformize_is_bad_config(mode, t0, model, tmp_path)
     })
     proc = subprocess.run([sys.executable, "-m", "qsdlab.cli", mode,
                            "--config", cfg],
-                          capture_output=True, text=True, timeout=5)
+                          capture_output=True, text=True, timeout=5, env=_CHILD_ENV)
     assert proc.returncode == EXIT_BAD_CONFIG
     assert "t0" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
@@ -342,6 +352,24 @@ def test_simulate_accepts_dirac_init(tmp_path):
     assert main(["simulate", "--config", cfg]) == EXIT_OK
     first = (tmp_path / "sim" / "snapshots" / "step_00000000.csv").read_text()
     assert all(ln.endswith(",1") for ln in first.splitlines()[1:])
+
+
+@pytest.mark.parametrize("name, params, gamma", [
+    ("torus_diffusion", {"drift": 1e308}, 10),  # nan states
+    ("growth_frag", {"growth": 700}, 1),  # inf states
+])
+def test_simulate_refuses_states_outside_the_space(name, params, gamma, tmp_path,
+                                                   capsys):
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "simulate",
+        "model": {"name": name, "params": params},
+        "output_dir": str(tmp_path / "sim"),
+        "fv": {"n_particles": 8, "gamma": gamma, "n_steps": 4},
+    })
+    assert main(["simulate", "--config", cfg]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "ModelEvaluationError" in err and "at step 4" in err
+    assert not (tmp_path / "sim" / "report.json").exists()
 
 
 def test_sweep_rows_carry_point_identity(tmp_path):
@@ -595,7 +623,7 @@ def test_env_var_output_root(tmp_path, monkeypatch):
 
 def test_console_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "qsdlab.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_CHILD_ENV)
     assert proc.returncode == 0
     assert "exit codes" in proc.stdout
     for mode in ("simulate", "oracle", "harris", "sweep", "demo"):

@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qsdlab as q
+from qsdlab import _kernels as k
 from qsdlab import fv
 from qsdlab._kernels import replica_layout
 from qsdlab.fv import FVConfig, _advance, fv_step_reference, init_states, run_fv, \
@@ -74,11 +75,27 @@ def _case(model, n, seed, step_index=0):
     return model, init_states(model, n, seed), seed, step_index
 
 
+def _two_state(rate, gamma):
+    """Two states jumping to each other at ``rate``, never killed."""
+    return q.discrete_model(q.FiniteKilledChain([[0.0, rate], [rate, 0.0]], [0.0, 0.0]),
+                            gamma)
+
+
+# the first open uniform, in (0, 1], of particle 61's stream at seed 3, step 0
+_U61 = ((k.raw_draw(k.derive_key(3, 1, 61), 0) >> 11) + 1) * 2.0 ** -53
+
+
 # a pure-diffusion step on which a reference drawing its normals with
-# math.log / math.cos missed the engine's state of particle 14
+# math.log / math.cos missed the engine's state of particle 14; a chain with
+# no jumps, whose Poisson draw still takes one uniform; and a chain whose
+# Poisson mean is -log(u) for particle 61's first uniform u, where math.log(u)
+# rounds above np.log(u)
 @SETTINGS
 @given(steps())
 @example(_case(q.TorusDiffusion(dim=1).model(0.5), 32, 14))
+@example((q.discrete_model(q.FiniteKilledChain(np.zeros((3, 3)), [0.5, 1, 2]), 0.3),
+          np.array([0, 1, 2, 0, 1, 2, 2, 1]), 7, 0))
+@example((_two_state(float(-np.log(_U61)), 1.0), np.zeros(64, dtype=np.int64), 3, 0))
 def test_engine_step_equals_reference(case):
     model, states, seed, step_index = case
     out = states.copy()

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import qsdlab as q
+from qsdlab import substream
 from qsdlab._kernels import replica_layout
 from qsdlab.fv import (
     FVConfig,
@@ -27,8 +28,7 @@ from qsdlab.metrics import (
     tv_hist,
     w1_circle,
 )
-from qsdlab.models import kill_prob, propose
-from qsdlab.streams import substream
+from qsdlab.models import ModelEvaluationError, kill_prob, propose
 
 
 def _one_step(model, states, seed, step_index):
@@ -401,7 +401,7 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_batch_describes_its_model_once(monkeypatch):
+def test_batch_reports_hold_its_model_and_their_own_configs(monkeypatch):
     model = _torus(0.05, kill=1.0)
     calls = []
     describe = q.KilledModel.describe
@@ -411,16 +411,26 @@ def test_batch_describes_its_model_once(monkeypatch):
         return describe(self)
 
     monkeypatch.setattr(q.KilledModel, "describe", counted)
-    reps = run_fv_batch(model, [FVConfig(n_particles=n, n_steps=3, seed=s)
-                                for s, n in enumerate((4, 4, 6))])
-    assert len(calls) == 1
-    assert all(rep.model == describe(model) for rep in reps)
-    assert [rep.config["n_particles"] for rep in reps] == [4, 4, 6]
-    # each report owns its blocks: editing one leaves the others as they were
-    reps[0].model["name"] = "edited"
-    reps[0].model["drift_params"].append(1.0)
-    reps[0].config["seed"] = 99
-    assert reps[1].model == describe(model) and reps[1].config["seed"] == 1
+    configs = [FVConfig(n_particles=n, n_steps=3, seed=s)
+               for s, n in enumerate((4, 4, 6))]
+    reps = run_fv_batch(model, configs)
+    assert calls == []  # report.json's model block is built by write_report
+    assert all(rep.model is model for rep in reps)
+    assert all(rep.config is c for rep, c in zip(reps, configs))
+
+
+@pytest.mark.parametrize("model, first", [
+    # x + 10 * 1e308 is inf, and wrapping inf onto the torus gives nan
+    (q.TorusDiffusion(drift=1e308).model(10.0), 1),
+    # x * exp(700) per step passes the largest float in the second step
+    (q.GrowthFrag(growth=700.0).model(1.0), 2),
+], ids=["torus_nan", "halfline_inf"])
+def test_run_refuses_states_outside_the_space(model, first):
+    with pytest.raises(ModelEvaluationError, match=f"outside .* at step {first}$"):
+        run_fv(model, FVConfig(n_particles=8, n_steps=5, seed=1, snapshot_stride=1))
+    # the snapshot after the step where the states leave the space refuses them
+    with pytest.raises(ModelEvaluationError, match="at step 5$"):
+        run_fv(model, FVConfig(n_particles=8, n_steps=5, seed=1, snapshot_stride=10))
 
 
 def test_write_csv_refuses_columns_of_unequal_length(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 import scipy.optimize
 
 import qsdlab as q
+from qsdlab import substream
 from qsdlab.metrics import (
     EmpiricalMeasure,
     estimate_theta,
@@ -20,7 +21,6 @@ from qsdlab.metrics import (
     w1_line,
 )
 from qsdlab.oracle import killed_semigroup, perron_triplet, spectral_gap
-from qsdlab.streams import substream
 
 
 def _circle_cost(x, y):

@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import qsdlab as q
+from qsdlab import substream
 from qsdlab.cli import EXIT_BAD_CONFIG, EXIT_OK, main
 from qsdlab.metrics import tv_finite
 from qsdlab.models import PRESETS, ClosedFormQsd, ModelEvaluationError, kill_prob, propose
@@ -16,7 +17,6 @@ from qsdlab.oracle import (
     grid_generator,
     killed_semigroup,
 )
-from qsdlab.streams import substream
 
 
 def _torus_model(gamma, drift=None, kill=None, dim=1):
@@ -377,3 +377,6 @@ def test_gamma_validation():
         q.IntervalBrownian().model(0.0)
     with pytest.raises(ValueError):
         q.IntervalBrownian().model(-0.1)
+    # report.json would write a bool gamma as true
+    with pytest.raises(ValueError, match="positive real"):
+        q.IntervalBrownian().model(True)

@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import qsdlab as q
+from qsdlab import substream
 from qsdlab.metrics import EmpiricalMeasure, measure_from_density, tv_finite, w1_line
 from qsdlab.oracle import (
     EigenTriplet,
@@ -32,7 +33,6 @@ from qsdlab.oracle import (
     _substep_kernel,
     _uniformization_sum,
 )
-from qsdlab.streams import substream
 from tests.conftest import random_chain
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import scipy.stats
 
 from qsdlab import _kernels as k
-from qsdlab.streams import substream
+from qsdlab import substream
 
 
 def test_same_address_same_draws():
@@ -88,6 +88,6 @@ def test_vectorized_draws_match_scalar():
                     for i in range(pid.size)])
     assert np.array_equal(vec, sca)
     vecn = k._normal_np(keys, ctrs)
-    scan = np.array([k._normal_py(int(keys[i]), int(ctrs[i]))
+    scan = np.array([k.Stream(int(keys[i]), int(ctrs[i])).normal()
                      for i in range(pid.size)])
     assert np.array_equal(vecn, scan)
