@@ -11,10 +11,13 @@ sweep      grid over (gamma, N, horizon, seed), CSV rows + fitted-rate summary
 demo       built-in named experiments (noncommutation, a3_failure)
 
 Each mode is one runner in ``_RUNNERS``.  Every data file goes through
-``fv.write_json`` or ``fv.write_csv``.  ``sweep`` runs the points of each
-gamma, of every ``n_particles``, as one batch of replicas, the gammas on a
-pool of ``--jobs`` threads, and writes the rows in point order, so its
-files are the same for every ``--jobs``.
+``fv.write_json`` or ``fv.write_csv``.  ``sweep`` plans its run before the
+oracle eigensolve (``_sweep_plan``: each gamma's model and the configs of
+its points, every refusal of the sweep section raised there), then runs
+the points of each gamma, of every ``n_particles``, as one batch of
+replicas, in the calling thread at ``--jobs 1`` and on a pool of ``--jobs``
+threads otherwise, and writes the rows in point order, so its files are the
+same for every ``--jobs``.
 
 Exit codes: 0 success, 2 bad config (includes unknown presets and invalid
 parameters), 3 runtime failure, 4 unwritable output.
@@ -26,6 +29,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -38,8 +42,8 @@ import numpy as np
 from . import _kernels as _k
 from .config import (METRICS, MODES, SCHEMA, ConfigError, ExperimentConfig, layout,
                      load_config)
-from .fv import (FVConfig, run_fv, run_fv_batch, write_csv, write_json,
-                 write_report)
+from .fv import (MAX_BATCH_BYTES, FVConfig, check_batch_size, run_fv, run_fv_batch,
+                 write_csv, write_json, write_report)
 from .harris import (
     ConclusionReport,
     LyapunovBaseError,
@@ -80,9 +84,12 @@ _EPILOG = f"""\
 exit codes:
   0  success
   2  bad config: parse error, unknown key or preset, invalid parameters,
-     empty sweep lists or a value repeated in one, a sweep gamma that
-     takes no step up to the last horizon, --jobs other than 1 outside
-     sweep, --seed outside [0, 2**64)
+     a section key the mode never reads (simulate reads fv, oracle reads
+     oracle, harris reads harris and oracle.n_grid, sweep reads sweep and
+     metrics), empty sweep lists or a value repeated in one, a sweep gamma
+     that takes no step up to the last horizon, a run whose deaths and
+     snapshots plan more than fv.MAX_BATCH_BYTES ({MAX_BATCH_BYTES / 2 ** 30:g} GiB),
+     --jobs other than 1 outside sweep, --seed outside [0, 2**64)
   3  runtime failure during simulation or analysis
   4  output directory cannot be created or written
 
@@ -219,13 +226,8 @@ def _run_harris(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_simulate(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
-    # the fv section holds the model's gamma, FVConfig's fields and run_fv's
-    # init
-    fv = dict(cfg.fv)
-    model = cfg.preset().model(float(fv.pop("gamma")))
-    init = {"init": fv.pop("init")} if "init" in fv else {}
-    report = run_fv(model, FVConfig(seed=cfg.seed, **fv), **init)
-    write_report(report, out)
+    model, config, init = cfg.simulation()
+    write_report(run_fv(model, config, **init), out)
 
 
 # ---------------------------------------------------------------------------
@@ -246,31 +248,44 @@ def _oracle_measure(cfg: ExperimentConfig):
     return EmpiricalMeasure(chain.positions, trip.gamma_left, space=chain.space)
 
 
-def _point_rows(model, report, horizons, oracle_m, burn_frac, wanted):
-    """The metric rows ``(horizon, metric, value, stderr, count)`` of one
-    sweep point's run.
+def _sweep_plan(cfg: ExperimentConfig, horizons) -> list:
+    """``(model, configs)`` of each gamma: its model and the ``FVConfig``s of
+    its points, every ``n_particles`` times ``n_seeds``, point i (counted
+    over the gammas) seeded ``derive_key(cfg.seed, i, 0) % 2**62``.  Every
+    refusal that the sweep section alone can trigger is raised here; the
+    preset's follow in ``_oracle_measure``, also before the eigensolve."""
+    sw, preset = cfg.sweep, cfg.preset()
+    seeds = (_k.derive_key(cfg.seed, i, 0) % (2 ** 62) for i in itertools.count())
+    plan = []
+    for gamma in map(float, sw["gammas"]):
+        steps = max(horizons) / gamma
+        if not (math.isfinite(steps) and round(steps) >= 1):
+            raise ConfigError(f"sweep gamma {gamma!r} takes {steps!r} steps up to the "
+                              f"last horizon, not a finite count of at least one")
+        n_steps = round(steps)
+        stride = sw.get("snapshot_stride", max(1, n_steps // 200))
+        configs = [FVConfig(n_particles=n, n_steps=n_steps, seed=next(seeds),
+                            snapshot_stride=stride)
+                   for n in sw["n_particles"] for _ in range(sw.get("n_seeds", 1))]
+        model = preset.model(gamma)
+        try:
+            check_batch_size(model, configs)
+        except ValueError as exc:
+            raise ConfigError(f"sweep gamma {gamma!r}: {exc}") from exc
+        plan.append((model, configs))
+    return plan
 
-    The W1 of every snapshot that a requested metric reads comes from one
-    ``w1_rows`` call; the pooled distance of a window is one more call."""
+
+def _point_rows(report, windows, needed, oracle_m, wanted):
+    """The metric rows ``(horizon, metric, value, stderr, count)`` of one
+    sweep point's run, over its batch's windows.
+
+    The W1 of every ``needed`` snapshot comes from one ``w1_rows`` call; the
+    pooled distance of a window is one more call."""
     snaps = [arr[:, 0] for _, arr in report.snapshots]
-    windows = []  # (horizon, burn, upto, snapshot indices of its window)
-    for t in horizons:
-        upto = int(round(t / model.gamma))
-        burn = int(burn_frac * upto)
-        idx = [i for i, (s, _) in enumerate(report.snapshots) if burn < s <= upto]
-        if idx:  # a window without snapshots has no rows
-            windows.append((t, burn, upto, idx))
-    needed = set()
-    for *_, idx in windows:
-        if "w1_timeavg" in wanted:
-            needed.update(idx)
-        elif "w1_instant" in wanted:
-            needed.add(idx[-1])
     w1 = {}  # snapshot index -> its W1
     if needed:
-        needed = sorted(needed)
         w1 = dict(zip(needed, w1_rows(np.stack([snaps[i] for i in needed]), oracle_m)))
-
     rows = []
     for t, burn, upto, idx in windows:
         if "w1_instant" in wanted:
@@ -289,92 +304,82 @@ def _point_rows(model, report, horizons, oracle_m, burn_frac, wanted):
     return rows
 
 
-def _sweep_group(cfg, gamma, points, horizons, oracle_m, burn_frac):
-    """Run the points ``(n_particles, seed)`` of one gamma as one batch;
-    returns each point's rows, in the order of ``points``."""
-    model = cfg.preset().model(gamma)
-    n_steps = int(round(max(horizons) / gamma))
-    stride = int(cfg.sweep.get("snapshot_stride", max(1, n_steps // 200)))
-    reports = run_fv_batch(model, [FVConfig(n_particles=n, n_steps=n_steps,
-                                            seed=seed, snapshot_stride=stride)
-                                   for n, seed in points])
-    wanted = cfg.metrics or METRICS
-    return [_point_rows(model, rep, horizons, oracle_m, burn_frac, wanted)
-            for rep in reports]
-
-
 def _run_sweep(cfg: ExperimentConfig, out: pathlib.Path, jobs: int) -> None:
-    sw = cfg.sweep
-    gammas = [float(g) for g in sw["gammas"]]
-    ns = [int(n) for n in sw["n_particles"]]
-    horizons = [float(t) for t in sw["horizons"]]
-    n_seeds = int(sw.get("n_seeds", 1))
-    burn_frac = float(sw.get("burn_fraction", 0.5))
-    for gamma in gammas:
-        steps = max(horizons) / gamma
-        if not math.isfinite(steps):
-            raise ConfigError(f"sweep gamma {gamma!r} takes more steps up to the "
-                              f"last horizon {max(horizons)!r} than a float counts")
-        if round(steps) == 0:
-            raise ConfigError(f"sweep gamma {gamma!r} takes no step up to the "
-                              f"last horizon {max(horizons)!r}")
+    horizons = [float(t) for t in cfg.sweep["horizons"]]
+    plan = _sweep_plan(cfg, horizons)
     oracle_m = _oracle_measure(cfg)
+    burn_frac = float(cfg.sweep.get("burn_fraction", 0.5))
+    wanted = cfg.metrics or METRICS
+
+    def work(batch):
+        # the replicas of a batch share their snapshot steps, so the windows
+        # and the snapshots that the W1 metrics read are found once
+        model, configs = batch
+        reports = run_fv_batch(model, configs)
+        steps = [s for s, _ in reports[0].snapshots]
+        windows = []  # (horizon, burn, upto, snapshot indices of its window)
+        for t in horizons:
+            upto = int(round(t / model.gamma))
+            burn = int(burn_frac * upto)
+            idx = [i for i, s in enumerate(steps) if burn < s <= upto]
+            if idx:  # a window without snapshots has no rows
+                windows.append((t, burn, upto, idx))
+        needed = set()
+        for *_, idx in windows:
+            if "w1_timeavg" in wanted:
+                needed.update(idx)
+            elif "w1_instant" in wanted:
+                needed.add(idx[-1])
+        needed = sorted(needed)
+        return [_point_rows(rep, windows, needed, oracle_m, wanted) for rep in reports]
+
+    # at --jobs 1 the batches run in this thread, so Ctrl-C stops them at
+    # once; else on a pool, in any order.  The results come back in plan
+    # order, which is point order, so the files are the same for every --jobs
+    if jobs == 1:
+        results = list(map(work, plan))
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(work, plan))
     mhash = _model_hash({"name": cfg.model_name, "params": cfg.model_params})
-
-    grid = [(gamma, n) for gamma in gammas for n in ns for _ in range(n_seeds)]
-    points = [(gamma, n, _k.derive_key(cfg.seed, i, 0) % (2 ** 62))
-              for i, (gamma, n) in enumerate(grid)]
-
-    def work(gamma):
-        return _sweep_group(cfg, gamma, [(n, s) for g, n, s in points if g == gamma],
-                            horizons, oracle_m, burn_frac)
-
-    # every gamma group runs as one batch on the pool, in any order; the
-    # gammas are distinct, so the groups' rows in gamma order are the rows
-    # in point order, the same for every --jobs
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = [point_rows for group_rows in pool.map(work, gammas)
-                   for point_rows in group_rows]
-    rows = []
-    table = {}
-    for (gamma, n, seed), point_rows in zip(points, results):
-        for t, name, value, stderr, count in point_rows:
-            rows.append((name, value, stderr, count, gamma, n, t, seed, mhash))
-            table.setdefault((name, gamma, n, t), []).append(value)
+    rows, table = [], {}  # table: (metric, gamma, n, horizon) -> values by seed
+    for (model, configs), batch_rows in zip(plan, results):
+        for c, point_rows in zip(configs, batch_rows):
+            point = (model.gamma, c.n_particles)
+            for t, name, value, stderr, count in point_rows:
+                rows.append((name, value, stderr, count, *point, t, c.seed, mhash))
+                table.setdefault((name, *point, t), []).append(value)
     write_csv(out / "sweep.csv",
               ["metric", "value", "stderr", "n", "gamma", "n_particles",
                "horizon", "seed", "model_hash"], zip(*rows), comment=CSV_SCHEMA)
 
-    summary = {"model_hash": mhash, "n_points": len(points)}
-    t_last = max(horizons)
+    def means(name, keys):  # name's mean over seeds at each key that has rows
+        return {k: float(np.mean(table[(name, *k)])) for k in keys
+                if (name, *k) in table}
+
+    gammas, ns = [model.gamma for model, _ in plan], cfg.sweep["n_particles"]
+    g0, n_big, t_last = gammas[0], max(ns), max(horizons)
+    summary = {"model_hash": mhash, "n_points": sum(len(c) for _, c in plan)}
     # fluctuation rate: time-averaged distance against N at the last horizon
-    if len(ns) >= 3:
-        means = [float(np.mean(table[("w1_timeavg", gammas[0], n, t_last)]))
-                 for n in ns if ("w1_timeavg", gammas[0], n, t_last) in table]
-        if len(means) == len(ns):
-            fit = fit_power_law(ns, means)
-            summary["w1_vs_n"] = {"slope": fit.slope, "r2": fit.r2,
-                                  "gamma": gammas[0], "values": means,
-                                  "n_particles": ns}
+    vals = list(means("w1_timeavg", [(g0, n, t_last) for n in ns]).values())
+    if len(ns) >= 3 and len(vals) == len(ns):
+        fit = fit_power_law(ns, vals)
+        summary["w1_vs_n"] = {"slope": fit.slope, "r2": fit.r2, "gamma": g0,
+                              "values": vals, "n_particles": ns}
     # step-size bias: pooled distance against gamma at the largest N
-    if len(gammas) >= 3:
-        n_big = max(ns)
-        vals = [float(np.mean(table[("w1_pooled", g, n_big, t_last)]))
-                for g in gammas if ("w1_pooled", g, n_big, t_last) in table]
-        if len(vals) == len(gammas):
-            fit = fit_power_law(gammas, vals)
-            summary["w1_vs_gamma"] = {"slope": fit.slope, "r2": fit.r2,
-                                      "n_particles": n_big, "values": vals,
-                                      "gammas": gammas}
-    # relaxation: instantaneous distance against horizon at the largest point
-    if len(horizons) >= 3:
-        n_big, g0 = max(ns), gammas[0]
-        # a horizon whose window holds no snapshot has no row
-        ts = [t for t in horizons if ("w1_instant", g0, n_big, t) in table]
-        vals = [float(np.mean(table[("w1_instant", g0, n_big, t)])) for t in ts]
-        if len(vals) >= 3 and all(v > 0 for v in vals):
-            fit = fit_exponential_rate(ts, vals)
-            summary["w1_vs_horizon"] = {"rate": fit.rate, "r2": fit.r2}
+    vals = list(means("w1_pooled", [(g, n_big, t_last) for g in gammas]).values())
+    if len(gammas) >= 3 and len(vals) == len(gammas):
+        fit = fit_power_law(gammas, vals)
+        summary["w1_vs_gamma"] = {"slope": fit.slope, "r2": fit.r2,
+                                  "n_particles": n_big, "values": vals,
+                                  "gammas": gammas}
+    # relaxation: instantaneous distance against horizon at the largest point;
+    # a horizon whose window holds no snapshot has no row
+    found = means("w1_instant", [(g0, n_big, t) for t in horizons])
+    ts, vals = [t for *_, t in found], list(found.values())
+    if len(vals) >= 3 and all(v > 0 for v in vals):
+        fit = fit_exponential_rate(ts, vals)
+        summary["w1_vs_horizon"] = {"rate": fit.rate, "r2": fit.r2}
     write_json(out / "summary.json", summary)
 
 

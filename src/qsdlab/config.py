@@ -4,7 +4,8 @@
 each key to its value check and a description: the keys a section accepts
 are its table's keys, and ``qsdlab --help`` prints the layout from the same
 tables.  Unknown keys are rejected everywhere so that a config file cannot
-silently misspell a knob.  Defaults are not part of the schema: an absent
+silently misspell a knob, and so is a section key that the config's mode
+never reads (``_READS``).  Defaults are not part of the schema: an absent
 key takes the default of the library call the section is passed to.
 """
 
@@ -14,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .fv import init_states
+from .fv import FVConfig, check_batch_size, init_states
 from .models import _is_number, build_preset
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "layout"]
@@ -44,6 +45,14 @@ class ExperimentConfig:
 
     def preset(self):
         return build_preset(self.model_name, self.model_params)
+
+    def simulation(self):
+        """``(model, FVConfig, run_fv keywords)`` of a simulate config: the
+        fv section holds the model's gamma, FVConfig's fields and the init."""
+        fv = dict(self.fv)
+        model = self.preset().model(float(fv.pop("gamma")))
+        init = {"init": fv.pop("init")} if "init" in fv else {}
+        return model, FVConfig(seed=self.seed, **fv), init
 
 
 # Value checks: (predicate, description).  JSON booleans are not numbers
@@ -125,6 +134,10 @@ SCHEMA = {
 _REQUIRED = {None: ("mode", "model", "model.name"),
              "simulate": ("fv.n_particles", "fv.gamma", "fv.n_steps"),
              "sweep": ("sweep.gammas", "sweep.n_particles", "sweep.horizons")}
+# the sections each mode reads, a dotted name for a single key of a section;
+# any other section key is refused
+_READS = {"simulate": ("fv",), "oracle": ("oracle",),
+          "harris": ("harris", "oracle.n_grid"), "sweep": ("sweep", "metrics")}
 
 
 def _flat(table: dict, prefix: str = ""):
@@ -165,6 +178,15 @@ def _has(doc: dict, dotted: str) -> bool:
     return True
 
 
+def _unread(doc: dict, mode: str) -> list:
+    """The section keys of ``doc`` that ``mode`` never reads."""
+    names = [f"{s}.{k}" for s in ("fv", "oracle", "harris", "sweep")
+             for k in doc.get(s, {})]
+    names += ["metrics"] * ("metrics" in doc)
+    reads = _READS[mode]
+    return [n for n in names if n not in reads and n.split(".")[0] not in reads]
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     _check(doc, SCHEMA)
     for key in _REQUIRED[None] + _REQUIRED.get(doc.get("mode"), ()):
@@ -179,14 +201,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
                                                           "sweep")},
                            metrics=doc.get("metrics", []))
     try:
-        preset = cfg.preset()
+        cfg.preset()
         if cfg.mode == "simulate":
-            # build the model and draw one particle from the initial law, so
-            # an init outside the live space fails before the first step
-            init = {"init": cfg.fv["init"]} if "init" in cfg.fv else {}
-            init_states(preset.model(float(cfg.fv["gamma"])), 1, 0, **init)
+            # build the run and draw one particle from the initial law, so an
+            # init outside the live space or a run too large to hold fails
+            # before the first step
+            model, fv_config, init = cfg.simulation()
+            init_states(model, 1, 0, **init)
+            check_batch_size(model, [fv_config])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    unread = _unread(doc, cfg.mode)
+    if unread:
+        raise ConfigError(f"{cfg.mode} never reads {unread}")
     return cfg
 
 

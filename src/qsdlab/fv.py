@@ -44,6 +44,7 @@ __all__ = [
     "fv_step_reference",
     "run_fv",
     "run_fv_batch",
+    "check_batch_size",
     "init_states",
     "write_report",
     "write_json",
@@ -52,6 +53,9 @@ __all__ = [
 
 _INIT_STREAM = 0  # stream id reserved for drawing the initial ensemble
 _BASES_BLOCK = 1 << 14  # step bases derived at a time, over all replicas
+# the most bytes of deaths and snapshots a batch may plan; a larger run is
+# refused before anything is allocated
+MAX_BATCH_BYTES = 1 << 30
 
 
 @dataclass
@@ -220,6 +224,22 @@ def _advance(model: KilledModel, states: np.ndarray, seeds,
             yield per_replica
 
 
+def check_batch_size(model: KilledModel, configs) -> None:
+    """Refuse (ValueError) a batch of ``configs``, which share ``n_steps``
+    and ``snapshot_stride``, whose deaths and snapshots plan more than
+    ``MAX_BATCH_BYTES``: ``n_steps x R`` int64 deaths and
+    ``(n_steps // snapshot_stride + 2) x sum(N_r) x dim`` float64 states."""
+    cfg = configs[0]
+    deaths = cfg.n_steps * len(configs)
+    states = ((cfg.n_steps // cfg.snapshot_stride + 2)
+              * sum(c.n_particles for c in configs) * model.space.dim)
+    planned = 8 * (deaths + states)
+    if planned > MAX_BATCH_BYTES:
+        raise ValueError(f"a run of {cfg.n_steps} steps plans {planned / 2 ** 30:.3g} "
+                         f"GiB of deaths and snapshots, past the budget of "
+                         f"{MAX_BATCH_BYTES / 2 ** 30:g} GiB (fv.MAX_BATCH_BYTES)")
+
+
 def run_fv_batch(model: KilledModel, configs, init="uniform") -> list:
     """Run R replicas of the particle system as one batch; returns their
     ``FVReport``s in the order of ``configs``.
@@ -233,7 +253,8 @@ def run_fv_batch(model: KilledModel, configs, init="uniform") -> list:
     particle that the single run of the first overflowing replica reports,
     and names that replica.  A snapshot whose states are not all in the
     model's space (a non-finite move, say) raises ModelEvaluationError
-    naming its step.
+    naming its step.  A batch past ``check_batch_size`` raises ValueError
+    before it allocates anything.
     """
     configs = list(configs)
     if not configs:
@@ -243,6 +264,7 @@ def run_fv_batch(model: KilledModel, configs, init="uniform") -> list:
     if any(dict(vars(c), seed=0, n_particles=0) != shared for c in configs):
         raise ValueError("the configs of a batch may differ only in seed and "
                          "n_particles")
+    check_batch_size(model, configs)
     t0 = time.perf_counter()
     cfg = configs[0]
     layout = _k.replica_layout([c.n_particles for c in configs])

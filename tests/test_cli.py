@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -257,6 +259,64 @@ def test_sweep_refuses_a_finite_preset_before_the_eigensolve(tmp_path, monkeypat
     assert "continuous preset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", [1e-300, 1e-9])
+def test_sweep_refuses_a_run_too_large_before_the_eigensolve(gamma, tmp_path,
+                                                             monkeypatch, capsys):
+    # 1e-300 asks for 1e300 steps, 1e-9 for an 8 GB deaths array
+    def refuse(chain, t0):
+        raise AssertionError("the sweep solved the chain of a run it refuses")
+
+    monkeypatch.setattr(qsdlab.cli, "spectrum", refuse)
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "sweep", "model": {"name": "torus_diffusion", "params": {"dim": 1}},
+        "output_dir": str(tmp_path / "never"),
+        "sweep": {"gammas": [0.1, gamma], "n_particles": [8], "horizons": [1.0],
+                  "n_grid": 32},
+    })
+    assert main(["sweep", "--config", cfg]) == EXIT_BAD_CONFIG
+    assert "GiB of deaths and snapshots" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+def test_simulate_refuses_a_run_too_large_before_making_its_directory(tmp_path,
+                                                                      capsys):
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "simulate", "model": {"name": "torus_diffusion", "params": {}},
+        "output_dir": str(tmp_path / "never"),
+        "fv": {"n_particles": 8, "gamma": 0.1, "n_steps": 10 ** 13},
+    })
+    assert main(["simulate", "--config", cfg]) == EXIT_BAD_CONFIG
+    assert "GiB of deaths and snapshots" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+def test_sections_the_mode_never_reads_are_bad_config(tmp_path, capsys):
+    two_point = {"name": "two_point", "params": {"a": 1.0, "b": 2.0}}
+    fv = {"n_particles": 8, "gamma": 0.1, "n_steps": 2}
+    sweep = {"gammas": [0.05], "n_particles": [8], "horizons": [0.1], "n_grid": 32}
+    for i, (mode, doc) in enumerate((
+            ("oracle", {"model": two_point, "harris": {"n_max": 3}, "fv": fv,
+                        "sweep": sweep, "metrics": ["theta_hat"]}),
+            ("simulate", {"model": two_point, "fv": fv, "oracle": {"n_grid": 32},
+                          "metrics": ["theta_hat"]}),
+            # the sweep's grid is sweep.n_grid; this one would be ignored
+            ("sweep", {"model": {"name": "torus_diffusion", "params": {"dim": 1}},
+                       "sweep": sweep, "oracle": {"n_grid": 32}}))):
+        out = tmp_path / f"out{i}"
+        cfg = _write(tmp_path, f"c{i}.json", {"mode": mode, "output_dir": str(out),
+                                              **doc})
+        assert main([mode, "--config", cfg]) == EXIT_BAD_CONFIG, doc
+        assert "never reads" in capsys.readouterr().err
+        assert not out.exists()
+    # harris reads oracle.n_grid and no other oracle key; an empty section
+    # sets nothing
+    harris = {"mode": "harris", "model": two_point}
+    for oracle in ({}, {"n_grid": 32}):
+        parse_config({**harris, "oracle": oracle})
+    with pytest.raises(ConfigError, match=r"never reads \['oracle.t0'\]"):
+        parse_config({**harris, "oracle": {"n_grid": 32, "t0": 1.0}})
+
+
 @pytest.mark.parametrize("mode, t0, model", [
     pytest.param("oracle", 1e308, _BD40, id="oracle-1e+308"),
     pytest.param("harris", 1e308, _BD40, id="harris-1e+308"),
@@ -366,7 +426,9 @@ def test_simulate_refuses_states_outside_the_space(name, params, gamma, tmp_path
         "output_dir": str(tmp_path / "sim"),
         "fv": {"n_particles": 8, "gamma": gamma, "n_steps": 4},
     })
-    assert main(["simulate", "--config", cfg]) == EXIT_RUNTIME
+    # the overflowing moves warn; any other warning would fail the test
+    with pytest.warns(RuntimeWarning):
+        assert main(["simulate", "--config", cfg]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert "ModelEvaluationError" in err and "at step 4" in err
     assert not (tmp_path / "sim" / "report.json").exists()
@@ -554,6 +616,34 @@ def test_instant_only_sweep_reads_each_windows_last_snapshot(tmp_path, monkeypat
     assert instant == [r for r in full if r.startswith("w1_instant,")]
     # one call per point, one row per horizon
     assert shapes == [(2, n) for n in (8, 8, 16, 16) * 2]
+
+
+def test_ctrl_c_stops_a_one_job_sweep(tmp_path):
+    # at --jobs 1 the batch runs in the main thread, which takes the
+    # interrupt at once; the run alone takes about 40 s on a 2-CPU Xeon VM
+    out = tmp_path / "sw"
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "sweep", "model": {"name": "torus_diffusion", "params": {"dim": 1}},
+        "output_dir": str(out),
+        "sweep": {"gammas": [0.001], "n_particles": [4096], "horizons": [150.0],
+                  "n_grid": 64},
+        "metrics": ["theta_hat"],
+    })
+    proc = subprocess.Popen([sys.executable, "-m", "qsdlab.cli", "sweep",
+                             "--config", cfg], env=_CHILD_ENV,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not out.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        time.sleep(1.0)
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=10)
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 def test_harris_mode_emits_certificate(tmp_path):

@@ -7,11 +7,13 @@ import pytest
 import scipy.linalg
 
 import qsdlab as q
+import qsdlab.fv
 from qsdlab import substream
 from qsdlab._kernels import replica_layout
 from qsdlab.fv import (
     FVConfig,
     _advance,
+    check_batch_size,
     fv_step_reference,
     init_states,
     q_mu_step,
@@ -426,11 +428,38 @@ def test_batch_reports_hold_its_model_and_their_own_configs(monkeypatch):
     (q.GrowthFrag(growth=700.0).model(1.0), 2),
 ], ids=["torus_nan", "halfline_inf"])
 def test_run_refuses_states_outside_the_space(model, first):
-    with pytest.raises(ModelEvaluationError, match=f"outside .* at step {first}$"):
-        run_fv(model, FVConfig(n_particles=8, n_steps=5, seed=1, snapshot_stride=1))
-    # the snapshot after the step where the states leave the space refuses them
-    with pytest.raises(ModelEvaluationError, match="at step 5$"):
-        run_fv(model, FVConfig(n_particles=8, n_steps=5, seed=1, snapshot_stride=10))
+    # the overflowing moves warn; any other warning would fail the test
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(ModelEvaluationError, match=f"outside .* at step {first}$"):
+            run_fv(model, FVConfig(n_particles=8, n_steps=5, seed=1, snapshot_stride=1))
+        # the snapshot after the step where the states leave the space refuses
+        # them
+        with pytest.raises(ModelEvaluationError, match="at step 5$"):
+            run_fv(model, FVConfig(n_particles=8, n_steps=5, seed=1,
+                                   snapshot_stride=10))
+
+
+def test_batch_size_is_deaths_plus_snapshots(monkeypatch):
+    # 2 replicas of 3 + 5 particles in 2 dimensions, 10 steps at stride 4:
+    # 10 x 2 deaths and (10 // 4 + 2) x 8 x 2 coordinates, 8 bytes each
+    model = q.TorusDiffusion(dim=2).model(0.1)
+    configs = [FVConfig(n_particles=n, n_steps=10, seed=s, snapshot_stride=4)
+               for s, n in enumerate((3, 5))]
+    planned = 8 * (10 * 2 + 4 * 8 * 2)
+    monkeypatch.setattr(qsdlab.fv, "MAX_BATCH_BYTES", planned)
+    check_batch_size(model, configs)
+    monkeypatch.setattr(qsdlab.fv, "MAX_BATCH_BYTES", planned - 1)
+    with pytest.raises(ValueError, match="MAX_BATCH_BYTES"):
+        check_batch_size(model, configs)
+    with pytest.raises(ValueError, match="MAX_BATCH_BYTES"):
+        run_fv_batch(model, configs)
+
+
+def test_run_refuses_a_run_too_large_to_hold():
+    # 10**13 steps plan 80 TB of deaths; the run fails before allocating them
+    model = q.TorusDiffusion().model(0.1)
+    with pytest.raises(ValueError, match="GiB of deaths and snapshots"):
+        run_fv(model, FVConfig(n_particles=8, n_steps=10 ** 13, seed=1))
 
 
 def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
